@@ -11,7 +11,7 @@
 use meissa_bench::{measure, meissa_config, no_summary_config};
 use meissa_core::exec::{generate_templates, ExecConfig};
 use meissa_core::summary::summarize;
-use meissa_core::{BackendKind, Meissa, MeissaConfig, SolveSession};
+use meissa_core::{Meissa, MeissaConfig, SolveSession};
 use meissa_suite::gw::{gw, GwScale};
 use meissa_testkit::bench::{black_box, Suite};
 use meissa_testkit::obs;
@@ -594,100 +594,6 @@ fn obs_overhead() {
         .expect("write BENCH_obs.json");
 }
 
-/// Predicate-backend routing: gw-3 with the 32-EIP rule set, DFS engine at
-/// one thread, run once per backend. `smt` sends every cache-miss probe to
-/// the incremental solver; `auto` classifies match-field-only constraint
-/// sets and answers them on the hermetic BDD engine instead, leaving only
-/// the rest to SAT. Output (`smt_checks`, templates) must be identical —
-/// only where the verdicts come from moves. Writes
-/// `results/backend_routing.txt` and `BENCH_backend.json`.
-fn backend_routing() {
-    use meissa_testkit::json::{Json, ToJson};
-
-    let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let w = gw(3, GwScale { eips: 32 });
-    let dfs = MeissaConfig {
-        code_summary: false,
-        threads: 1,
-        ..MeissaConfig::default()
-    };
-
-    let mut table = String::from(
-        "Predicate-backend routing: gw-3 (32 EIPs), DFS engine, 1 thread\n\
-         (best of 3; MEISSA_BACKEND=smt vs auto — the router sends\n\
-         match-field-only probes to the BDD engine, the rest to SAT)\n\n",
-    );
-    table.push_str(&format!(
-        "{:<8} {:>10} {:>12} {:>10} {:>12} {:>12} {:>10}\n",
-        "backend", "wall ms", "smt_checks", "sat_calls", "routed_bdd", "bdd_probes", "templates"
-    ));
-    let mut rows: Vec<Json> = Vec::new();
-    let mut runs = Vec::new();
-
-    for kind in [BackendKind::Smt, BackendKind::Auto] {
-        let run = best_of_3(&w, &MeissaConfig { backend: kind, ..dfs.clone() });
-        table.push_str(&format!(
-            "{:<8} {:>10.1} {:>12} {:>10} {:>12} {:>12} {:>10}\n",
-            format!("{kind:?}").to_lowercase(),
-            run.secs * 1e3,
-            run.smt_checks,
-            run.sat_engine_calls,
-            run.backend_routed_bdd,
-            run.bdd_probes,
-            run.templates,
-        ));
-        rows.push(Json::Obj(vec![
-            ("program".into(), "gw-3-r32/dfs".to_json()),
-            (
-                "backend".into(),
-                format!("{kind:?}").to_lowercase().to_json(),
-            ),
-            ("wall_ms".into(), (run.secs * 1e3).to_json()),
-            ("smt_checks".into(), run.smt_checks.to_json()),
-            ("sat_engine_calls".into(), run.sat_engine_calls.to_json()),
-            ("backend_routed_smt".into(), run.backend_routed_smt.to_json()),
-            ("backend_routed_bdd".into(), run.backend_routed_bdd.to_json()),
-            ("bdd_probes".into(), run.bdd_probes.to_json()),
-            ("cache_probes".into(), run.cache_probes.to_json()),
-            ("cache_hits".into(), run.cache_hits.to_json()),
-            ("templates".into(), (run.templates as u64).to_json()),
-        ]));
-        runs.push((kind, run));
-    }
-
-    let smt = &runs[0].1;
-    let auto = &runs[1].1;
-    assert_eq!(
-        smt.templates, auto.templates,
-        "backend choice must not change the template count"
-    );
-    assert_eq!(
-        smt.smt_checks, auto.smt_checks,
-        "every probed arm counts as one check regardless of which backend answers"
-    );
-    assert!(
-        auto.backend_routed_bdd > 0 && auto.bdd_probes > 0,
-        "auto must route match-field-only probes to the BDD engine"
-    );
-    assert!(
-        auto.sat_engine_calls <= smt.sat_engine_calls,
-        "BDD-answered probes must not add SAT engine work"
-    );
-
-    print!("{table}");
-    std::fs::write(format!("{repo_root}/results/backend_routing.txt"), &table)
-        .expect("write results/backend_routing.txt");
-    let json = Json::Obj(vec![
-        ("bench".into(), "backend_routing".to_json()),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    std::fs::write(
-        format!("{repo_root}/BENCH_backend.json"),
-        json.to_text() + "\n",
-    )
-    .expect("write BENCH_backend.json");
-}
-
 /// The disabled-path budget the obs design promises: one relaxed atomic
 /// load per instrumentation site when nothing is enabled. Measures the
 /// real per-site cost over 50M gated calls and fails the smoke run if it
@@ -873,10 +779,8 @@ fn bench_smoke() {
     const GOLDEN_DFS_SMT_CHECKS: u64 = 12648;
     const GOLDEN_SUMMARY_SMT_CHECKS: u64 = 11406;
     const GOLDEN_TEMPLATES: usize = 253;
-    // Verdict-cache goldens: the §4 arm-pruning cache must behave the same
-    // whichever backend answers the misses (the cache sits above the
-    // router), and the 128-bit hash keys must probe/hit exactly like the
-    // string keys they replaced.
+    // Verdict-cache goldens: the 128-bit hash keys of the §4 arm-pruning
+    // cache must probe/hit exactly like the string keys they replaced.
     const GOLDEN_DFS_CACHE: (u64, u64) = (1796, 0);
     // Summary hits dropped 119 → 104 when the engine moved to the batched
     // summary path at every thread count: group-search jobs now warm-start
@@ -888,13 +792,14 @@ fn bench_smoke() {
     const GOLDEN_SUMMARY_CACHE: (u64, u64) = (5820, 104);
 
     let w = gw(3, GwScale { eips: 8 });
-    let smt_only = MeissaConfig {
-        code_summary: false,
-        threads: 1,
-        backend: BackendKind::Smt,
-        ..MeissaConfig::default()
-    };
-    let dfs = measure(&w, smt_only.clone());
+    let dfs = measure(
+        &w,
+        MeissaConfig {
+            code_summary: false,
+            threads: 1,
+            ..MeissaConfig::default()
+        },
+    );
     assert_eq!(
         dfs.smt_checks, GOLDEN_DFS_SMT_CHECKS,
         "gw-3-r8/dfs smt_checks drifted from the recorded golden"
@@ -912,7 +817,6 @@ fn bench_smoke() {
         &w,
         MeissaConfig {
             threads: 1,
-            backend: BackendKind::Smt,
             ..MeissaConfig::default()
         },
     );
@@ -928,38 +832,6 @@ fn bench_smoke() {
         (summary.cache_probes, summary.cache_hits),
         GOLDEN_SUMMARY_CACHE,
         "gw-3-r8/summary verdict-cache counters drifted from the recorded golden"
-    );
-    // Same run through the auto router: the BDD engine takes the
-    // match-field-only probes, yet every externally visible counter —
-    // checks, templates, cache probes/hits — must match the smt run.
-    let auto = measure(
-        &w,
-        MeissaConfig {
-            backend: BackendKind::Auto,
-            ..smt_only
-        },
-    );
-    assert!(
-        auto.bdd_probes > 0,
-        "auto backend answered no probes on the BDD engine"
-    );
-    assert_eq!(
-        auto.smt_checks, GOLDEN_DFS_SMT_CHECKS,
-        "gw-3-r8/dfs smt_checks must be backend-invariant"
-    );
-    assert_eq!(
-        auto.templates, GOLDEN_TEMPLATES,
-        "gw-3-r8/dfs templates must be backend-invariant"
-    );
-    assert_eq!(
-        (auto.cache_probes, auto.cache_hits),
-        GOLDEN_DFS_CACHE,
-        "verdict-cache behavior must be backend-invariant (cache sits above the router)"
-    );
-    println!(
-        "bench smoke OK: auto router sent {} probes to the BDD engine \
-         ({} routed-smt, {} routed-bdd decisions)",
-        auto.bdd_probes, auto.backend_routed_smt, auto.backend_routed_bdd,
     );
     println!(
         "bench smoke OK: gw-3-r8 dfs {} checks ({} sat calls, {} batched), \
@@ -1019,7 +891,6 @@ fn main() {
     // times are the recorded baselines, so the sink must stay off except
     // where the overhead bench turns it on deliberately.
     parallel_scaling();
-    backend_routing();
     netdriver_loopback();
     obs_overhead();
 }

@@ -294,7 +294,6 @@ fn report(t: &Trace) -> String {
                 "    {name:<24} count={count} sum={sum} p50≈{p50} p99≈{p99}"
             );
         }
-        out.push_str(&reconcile_backend(t, &runs));
     }
     out.push_str(&coverage_section(t));
     out
@@ -368,40 +367,6 @@ fn coverage_arms(cov: &Json) -> BTreeMap<(String, String), u64> {
                 .unwrap_or(0) as u64;
             out.insert((table.to_string(), "miss".to_string()), miss);
         }
-    }
-    out
-}
-
-/// Reconciles the router's live `backend.*` metric counters (cumulative,
-/// last snapshot) against the per-run sums the engine stamped on its
-/// `engine.run` spans. They count the same routing decisions from two
-/// independent paths — the obs counter bump at the router and the
-/// `RunStats` merge at run end — so a live-metrics trace that covers every
-/// run from process start should show them equal. Informational only: a
-/// trace that enabled metrics mid-stream, or that holds runs from several
-/// processes, legitimately diverges.
-fn reconcile_backend(t: &Trace, runs: &[&Span]) -> String {
-    const PAIRS: [(&str, &str); 3] = [
-        ("backend.routed_smt", "backend_routed_smt"),
-        ("backend.routed_bdd", "backend_routed_bdd"),
-        ("backend.bdd_probes", "bdd_probes"),
-    ];
-    if !PAIRS.iter().any(|(c, _)| t.counters.contains_key(*c)) {
-        return String::new();
-    }
-    let mut out = String::from("== backend routing reconciliation ==\n");
-    for (counter, span_field) in PAIRS {
-        let snapshot = t.counters.get(counter).copied().unwrap_or(0);
-        let span_sum: u64 = runs.iter().filter_map(|r| field(r, span_field)).sum();
-        let verdict = if snapshot == span_sum {
-            "ok"
-        } else {
-            "DIVERGES (partial trace or multi-process file?)"
-        };
-        let _ = writeln!(
-            out,
-            "    {counter:<24} snapshot={snapshot} run-span sum={span_sum}  {verdict}"
-        );
     }
     out
 }

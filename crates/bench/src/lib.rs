@@ -43,14 +43,8 @@ pub struct EngineRun {
     pub arm_batches: u64,
     /// Verdict-cache lookups issued by arm pruning.
     pub cache_probes: u64,
-    /// Verdict-cache lookups answered without touching a backend.
+    /// Verdict-cache lookups answered without touching the solver.
     pub cache_hits: u64,
-    /// Cache-miss probes the router sent to the incremental SMT solver.
-    pub backend_routed_smt: u64,
-    /// Cache-miss probes the router sent to the BDD engine.
-    pub backend_routed_bdd: u64,
-    /// Individual arm/set verdicts the BDD engine answered.
-    pub bdd_probes: u64,
     /// True when the time budget expired.
     pub timed_out: bool,
 }
@@ -67,9 +61,6 @@ impl ToJson for EngineRun {
             ("arm_batches".into(), self.arm_batches.to_json()),
             ("cache_probes".into(), self.cache_probes.to_json()),
             ("cache_hits".into(), self.cache_hits.to_json()),
-            ("backend_routed_smt".into(), self.backend_routed_smt.to_json()),
-            ("backend_routed_bdd".into(), self.backend_routed_bdd.to_json()),
-            ("bdd_probes".into(), self.bdd_probes.to_json()),
             ("timed_out".into(), self.timed_out.to_json()),
         ])
     }
@@ -113,21 +104,6 @@ impl FromJson for EngineRun {
                 .ok()
                 .map_or(Ok(0), FromJson::from_json)
                 .map_err(|e: JsonError| e.context("EngineRun.cache_hits"))?,
-            backend_routed_smt: v
-                .field("backend_routed_smt")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.backend_routed_smt"))?,
-            backend_routed_bdd: v
-                .field("backend_routed_bdd")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.backend_routed_bdd"))?,
-            bdd_probes: v
-                .field("bdd_probes")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.bdd_probes"))?,
             timed_out: FromJson::from_json(v.field("timed_out")?)
                 .map_err(|e: JsonError| e.context("EngineRun.timed_out"))?,
         })
@@ -149,9 +125,6 @@ pub fn measure(w: &Workload, config: MeissaConfig) -> EngineRun {
         arm_batches: out.stats.arm_batches,
         cache_probes: out.stats.cache_probes,
         cache_hits: out.stats.cache_hits,
-        backend_routed_smt: out.stats.backend_routed_smt,
-        backend_routed_bdd: out.stats.backend_routed_bdd,
-        bdd_probes: out.stats.bdd_probes,
         timed_out: out.stats.timed_out,
     }
 }
@@ -242,9 +215,6 @@ mod tests {
             arm_batches: 2,
             cache_probes: 8,
             cache_hits: 3,
-            backend_routed_smt: 4,
-            backend_routed_bdd: 2,
-            bdd_probes: 2,
             timed_out: false,
         };
         assert_eq!(cell(&ok), "1.23s");

@@ -42,21 +42,11 @@ pub struct MeissaConfig {
     /// deterministic (merged paths are sorted into sequential DFS order
     /// before template generation).
     pub threads: usize,
-    /// Batched sibling-arm probing through the solver's assumption API;
-    /// see [`ExecConfig::batched_probing`]. `false` restores the per-arm
-    /// `push/assert/check/pop` reference path (identical output, more
-    /// SAT-engine work).
-    pub batched_probing: bool,
     /// Parallel-exploration right-sizing; see
     /// [`ExecConfig::min_paths_per_worker`]. `0` disables the cap and
     /// spawns exactly `threads` workers (tests exercising the parallel
     /// machinery on small inputs).
     pub min_paths_per_worker: u64,
-    /// Which predicate backend answers probes; see [`crate::backend`]. The
-    /// default honours the `MEISSA_BACKEND` env var (`smt`, `bdd`, `auto`),
-    /// falling back to the classifying `auto` router. The template set is
-    /// identical for every choice; only where verdicts come from changes.
-    pub backend: crate::backend::BackendKind,
     /// Packets per sequence for the stateful entry point
     /// ([`Meissa::run_sequences`]): the CFG is unrolled `k_packets` times
     /// with register state threaded between copies (see
@@ -107,9 +97,7 @@ impl Default for MeissaConfig {
             max_templates: None,
             time_budget: None,
             threads: default_threads(),
-            batched_probing: true,
             min_paths_per_worker: ExecConfig::default().min_paths_per_worker,
-            backend: crate::backend::default_backend(),
             k_packets: default_k_packets(),
             symbolic_init: false,
         }
@@ -125,10 +113,7 @@ impl MeissaConfig {
             max_templates: self.max_templates,
             time_budget: self.time_budget,
             threads: self.threads.max(1),
-            batched_probing: self.batched_probing,
             min_paths_per_worker: self.min_paths_per_worker,
-            backend: self.backend,
-            ..ExecConfig::default()
         }
     }
 }
@@ -177,17 +162,6 @@ pub struct RunStats {
     pub batched_probes: u64,
     /// Batched sibling probes issued (each covering ≥ 2 arms).
     pub arm_batches: u64,
-    /// Probe routing decisions that landed on the incremental SMT solver.
-    pub backend_routed_smt: u64,
-    /// Probe routing decisions that landed on the BDD engine
-    /// (match-field-only constraint sets under the `auto`/`bdd` backends).
-    pub backend_routed_bdd: u64,
-    /// Individual probe verdicts the BDD engine answered. Each also counts
-    /// one `smt_checks`, so Fig. 11b stays comparable across backends —
-    /// what drops instead is `solver.sat_engine_calls`.
-    pub bdd_probes: u64,
-    /// Decision nodes allocated in BDD node tables across the run.
-    pub bdd_nodes: u64,
     /// True when a time budget expired before completion.
     pub timed_out: bool,
     /// Installed rules hit by at least one template (rule-granular
@@ -347,10 +321,6 @@ impl Meissa {
         stats.cache_hits = session.exec.cache_hits;
         stats.batched_probes = session.exec.batched_probes;
         stats.arm_batches = session.exec.arm_batches;
-        stats.backend_routed_smt = session.exec.backend_routed_smt;
-        stats.backend_routed_bdd = session.exec.backend_routed_bdd;
-        stats.bdd_probes = session.exec.bdd_probes;
-        stats.bdd_nodes = session.exec.bdd_nodes;
         stats.solver = session.solver_stats();
         stats.sat = session.sat_stats();
         stats.elapsed = t0.elapsed();
@@ -383,10 +353,6 @@ impl Meissa {
             run_span.field("cache_hits", stats.cache_hits);
             run_span.field("batched_probes", stats.batched_probes);
             run_span.field("arm_batches", stats.arm_batches);
-            run_span.field("backend_routed_smt", stats.backend_routed_smt);
-            run_span.field("backend_routed_bdd", stats.backend_routed_bdd);
-            run_span.field("bdd_probes", stats.bdd_probes);
-            run_span.field("bdd_nodes", stats.bdd_nodes);
             run_span.field("sat_engine_calls", stats.solver.sat_engine_calls);
             run_span.field("model_reuse", stats.solver.model_reuse);
             run_span.field("sat_propagations", stats.sat.propagations);
@@ -429,13 +395,11 @@ impl Meissa {
 /// (the ledger's `config` fingerprint; diffable as an opaque string).
 pub(crate) fn config_fingerprint(config: &MeissaConfig) -> String {
     format!(
-        "summary={} early_term={} incremental={} grouped={} batched={} backend={:?} k={} sym_init={}",
+        "summary={} early_term={} incremental={} grouped={} k={} sym_init={}",
         config.code_summary,
         config.early_termination,
         config.incremental,
         config.grouped_summary,
-        config.batched_probing,
-        config.backend,
         config.k_packets,
         config.symbolic_init,
     )
@@ -687,35 +651,6 @@ mod tests {
             assert_eq!(valid.len(), 1, "input {i} drives exactly one original path");
         }
         let _ = fields;
-    }
-
-    #[test]
-    fn backend_choice_preserves_output_and_shifts_engine_work() {
-        let cp = program();
-        let run_with = |backend| {
-            Meissa {
-                config: MeissaConfig {
-                    backend,
-                    threads: 1,
-                    ..MeissaConfig::default()
-                },
-            }
-            .run(&cp)
-        };
-        let smt = run_with(crate::backend::BackendKind::Smt);
-        let auto = run_with(crate::backend::BackendKind::Auto);
-        assert_eq!(smt.templates.len(), auto.templates.len());
-        assert_eq!(smt.stats.smt_checks, auto.stats.smt_checks);
-        assert_eq!(smt.stats.cache_probes, auto.stats.cache_probes);
-        assert_eq!(smt.stats.cache_hits, auto.stats.cache_hits);
-        assert_eq!(smt.stats.bdd_probes, 0);
-        assert_eq!(smt.stats.backend_routed_bdd, 0);
-        // The program's guards are parser selects, table matches, and
-        // validity bits — match-field-only, so `auto` routes probes to the
-        // BDD and the SAT engine runs strictly less.
-        assert!(auto.stats.bdd_probes > 0, "auto must route to the BDD");
-        assert!(auto.stats.bdd_nodes > 0);
-        assert!(auto.stats.solver.sat_engine_calls <= smt.stats.solver.sat_engine_calls);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!   re-asserted constraint list (what a tool without push/pop pays);
 //! * both `true` — Meissa's configuration.
 
-use crate::backend::{BackendKind, BackendRouter};
 use crate::session::SolveSession;
 use crate::symstate::{SymCtx, ValueStack};
 use crate::template::{HashObligation, TestTemplate};
@@ -62,17 +61,6 @@ pub struct ExecConfig {
     /// disables the cap — used by tests that exercise the parallel
     /// machinery on deliberately small graphs.
     pub min_paths_per_worker: u64,
-    /// Probe all sibling arms of a branch point through one batched
-    /// [`meissa_smt::Solver::check_under`] call (assumption literals over
-    /// the blasted prefix, learned clauses retained across siblings)
-    /// instead of a `push/assert/check/pop` cycle per arm. Verdicts,
-    /// counters, and templates are identical either way; `false` keeps the
-    /// per-arm reference path that the equivalence suite compares against.
-    pub batched_probing: bool,
-    /// Which predicate backend answers probes: the incremental SMT solver,
-    /// the BDD engine (with SMT fallback for out-of-class sets), or the
-    /// classifying router (the default; see [`crate::backend`]).
-    pub backend: BackendKind,
 }
 
 impl Default for ExecConfig {
@@ -85,8 +73,6 @@ impl Default for ExecConfig {
             time_budget: None,
             threads: 1,
             min_paths_per_worker: 1024,
-            batched_probing: true,
-            backend: crate::backend::default_backend(),
         }
     }
 }
@@ -206,19 +192,6 @@ pub struct ExecStats {
     pub batched_probes: u64,
     /// Branch points whose sibling arms were probed as one batch.
     pub arm_batches: u64,
-    /// Router decisions that sent a probe (or a whole arm batch) to the
-    /// incremental SMT solver.
-    pub backend_routed_smt: u64,
-    /// Router decisions that sent a probe (or a whole arm batch) to the
-    /// BDD engine — match-field-only constraint sets under
-    /// [`crate::backend::BackendKind::Auto`]/`Bdd`.
-    pub backend_routed_bdd: u64,
-    /// Individual probe verdicts answered by the BDD engine (each also
-    /// counts one `smt_checks`, keeping the Fig. 11b metric comparable
-    /// across backends).
-    pub bdd_probes: u64,
-    /// Decision nodes allocated in BDD node tables while answering probes.
-    pub bdd_nodes: u64,
     /// Wall-clock time of the execution.
     pub elapsed: Duration,
     /// True when the time budget expired before completion.
@@ -518,15 +491,14 @@ pub(crate) fn explore_task(
     session.import_shared();
     let SolveSession {
         pool,
-        backend,
+        solver,
         verdict_cache,
         base_verdicts,
         ..
     } = session;
-    backend.kind = config.backend;
-    backend.solver_mut().push();
+    solver.push();
     for &c in prefix_constraints {
-        backend.solver_mut().assert_term(pool, c);
+        solver.assert_term(pool, c);
     }
     // The verdict cache keys on the content hash of the *entire* current
     // constraint set, so the prefix's conjunct hashes seed the stack. Only
@@ -560,8 +532,8 @@ pub(crate) fn explore_task(
     for &(f, t) in initial_values {
         v.set(f, t);
     }
-    walker.visit(pool, ctx, backend, &mut v, start, None);
-    backend.solver_mut().pop();
+    walker.visit(pool, ctx, solver, &mut v, start, None);
+    solver.pop();
     // Incremental checks are counted by the session's solver (delta since
     // the previous exploration); non-incremental checks were tallied
     // directly into `stats.smt_checks` by the walker.
@@ -627,13 +599,10 @@ impl Walker<'_> {
     }
 
     /// Satisfiability of the current constraint set, honoring the
-    /// incremental/non-incremental configuration. This is the *unrouted*
-    /// SMT path: leaf validation and the baseline configurations stay on
-    /// the solver regardless of backend (the router only sees
-    /// early-termination probes, where BDD classification pays off).
-    fn check(&mut self, pool: &mut TermPool, backend: &mut BackendRouter) -> CheckResult {
+    /// incremental/non-incremental configuration.
+    fn check(&mut self, pool: &mut TermPool, solver: &mut Solver) -> CheckResult {
         if self.config.incremental {
-            backend.solver_mut().check(pool)
+            solver.check(pool)
         } else {
             // Fresh solver per query: what a tool without push/pop pays.
             self.stats.smt_checks += 1;
@@ -653,12 +622,11 @@ impl Walker<'_> {
     /// earlier exploration in the same session) is answered without the
     /// solver. A hit still counts one `smt_checks`, exactly like the folded
     /// checks above, so the Fig. 11b "number of SMT calls" metric stays
-    /// comparable whether or not the cache intervenes. A cache miss goes to
-    /// the backend router: the BDD engine when the whole current set is
-    /// match-field-only, otherwise the incremental solver's live frames.
-    fn probe_unsat(&mut self, pool: &mut TermPool, backend: &mut BackendRouter) -> bool {
+    /// comparable whether or not the cache intervenes. A cache miss checks
+    /// the incremental solver's live frames.
+    fn probe_unsat(&mut self, pool: &mut TermPool, solver: &mut Solver) -> bool {
         if !self.use_cache {
-            return self.check(pool, backend) == CheckResult::Unsat;
+            return self.check(pool, solver) == CheckResult::Unsat;
         }
         self.stats.cache_probes += 1;
         let key = crate::session::verdict_key(&self.key_stack);
@@ -671,7 +639,7 @@ impl Walker<'_> {
             self.stats.smt_checks += 1; // cached validity check
             return unsat;
         }
-        let unsat = !backend.check_set(pool, &self.all_constraints, self.stats);
+        let unsat = solver.check(pool) == CheckResult::Unsat;
         self.cache.insert(key, unsat);
         unsat
     }
@@ -681,7 +649,7 @@ impl Walker<'_> {
     /// interaction ([`crate::session::probe_arms_cached`] →
     /// [`meissa_smt::Solver::check_under`]). Returns one optional
     /// [`PreArm`] per local child; `None` entries (markers, guards answered
-    /// by constant folding, non-predicate nodes, or the non-batching
+    /// by constant folding, non-predicate nodes, or the non-caching
     /// baseline configurations) fall back to the per-node logic in `visit`.
     /// Donated siblings are excluded by construction — their receiving
     /// worker probes them itself, keeping per-arm accounting identical to a
@@ -690,11 +658,11 @@ impl Walker<'_> {
         &mut self,
         pool: &mut TermPool,
         ctx: &mut SymCtx,
-        backend: &mut BackendRouter,
+        solver: &mut Solver,
         v: &ValueStack,
         local: &[NodeId],
     ) -> Vec<Option<PreArm>> {
-        if !self.use_cache || !self.config.batched_probing {
+        if !self.use_cache {
             return Vec::new();
         }
         let mut pres: Vec<Option<PreArm>> = Vec::new();
@@ -727,12 +695,11 @@ impl Walker<'_> {
         let arm_hashes: Vec<Vec<u64>> = bundles.iter().map(|(_, hs)| hs.clone()).collect();
         let unsats = crate::session::probe_arms_cached(
             pool,
-            backend,
+            solver,
             self.cache,
             self.base,
             self.stats,
             &self.key_stack,
-            &self.all_constraints,
             &terms,
             &arm_hashes,
         );
@@ -750,7 +717,7 @@ impl Walker<'_> {
         &mut self,
         pool: &mut TermPool,
         ctx: &mut SymCtx,
-        backend: &mut BackendRouter,
+        solver: &mut Solver,
         v: &mut ValueStack,
         node: NodeId,
         pre: Option<PreArm>,
@@ -775,10 +742,10 @@ impl Walker<'_> {
                     feasible = false;
                     self.stats.pruned += 1;
                 } else {
-                    backend.solver_mut().push();
+                    solver.push();
                     pushed = true;
                     for (c, h) in arm.conjuncts.into_iter().zip(arm.hashes) {
-                        backend.solver_mut().assert_term(pool, c);
+                        solver.assert_term(pool, c);
                         self.all_constraints.push(c);
                         self.key_stack.push(h);
                     }
@@ -810,8 +777,8 @@ impl Walker<'_> {
                         // Naive mode must not benefit from folding: carry
                         // the contradiction along and discover it at the
                         // leaf check, like a tool without early termination.
-                        backend.solver_mut().push();
-                        backend.solver_mut().assert_term(pool, t);
+                        solver.push();
+                        solver.assert_term(pool, t);
                         self.all_constraints.push(t);
                         pushed = true;
                     }
@@ -819,7 +786,7 @@ impl Walker<'_> {
                         // Record individual conjuncts: Algorithm 2's public
                         // pre-condition intersects *constraint sets*, which
                         // only works at conjunct granularity.
-                        backend.solver_mut().push();
+                        solver.push();
                         pushed = true;
                         let before = self.all_constraints.len();
                         flatten_conjuncts(pool, t, &mut self.all_constraints);
@@ -834,12 +801,12 @@ impl Walker<'_> {
                             .sort_by_key(|&c| pool.term_hash(c));
                         for i in before..self.all_constraints.len() {
                             let c = self.all_constraints[i];
-                            backend.solver_mut().assert_term(pool, c);
+                            solver.assert_term(pool, c);
                             if self.use_cache {
                                 self.key_stack.push(pool.term_hash(c));
                             }
                         }
-                        if self.config.early_termination && self.probe_unsat(pool, backend) {
+                        if self.config.early_termination && self.probe_unsat(pool, solver) {
                             feasible = false;
                             self.stats.pruned += 1;
                         }
@@ -855,7 +822,7 @@ impl Walker<'_> {
             let at_target = self.targets.contains(&node);
             let children = self.cfg.succ(node);
             if at_target || children.is_empty() {
-                self.leaf(pool, backend, v);
+                self.leaf(pool, solver, v);
             } else {
                 let children = children.to_vec();
                 let mut local: &[NodeId] = &children;
@@ -890,11 +857,11 @@ impl Walker<'_> {
                 }
                 // Batched branch expansion: translate and probe every local
                 // sibling arm in one solver interaction before descending.
-                let mut pres = self.probe_local_arms(pool, ctx, backend, v, local);
+                let mut pres = self.probe_local_arms(pool, ctx, solver, v, local);
                 for (i, &c) in local.iter().enumerate() {
                     let mark = v.mark();
                     let pre = pres.get_mut(i).and_then(Option::take);
-                    self.visit(pool, ctx, backend, v, c, pre);
+                    self.visit(pool, ctx, solver, v, c, pre);
                     v.restore(mark);
                     if self.out_of_budget() {
                         break;
@@ -904,7 +871,7 @@ impl Walker<'_> {
         }
 
         if pushed {
-            backend.solver_mut().pop();
+            solver.pop();
             self.all_constraints.truncate(constraints_mark);
             if self.use_cache {
                 self.key_stack.truncate(constraints_mark);
@@ -913,7 +880,7 @@ impl Walker<'_> {
         self.trace.pop();
     }
 
-    fn leaf(&mut self, pool: &mut TermPool, backend: &mut BackendRouter, v: &ValueStack) {
+    fn leaf(&mut self, pool: &mut TermPool, solver: &mut Solver, v: &ValueStack) {
         self.stats.paths_explored += 1;
         // With early termination every prefix was checked, but the last
         // check may predate recent assume-true / assignment nodes; the
@@ -922,7 +889,7 @@ impl Walker<'_> {
         let valid = if self.config.early_termination {
             true
         } else {
-            self.check(pool, backend) == CheckResult::Sat
+            self.check(pool, solver) == CheckResult::Sat
         };
         if !valid {
             return;
@@ -1054,46 +1021,6 @@ mod tests {
             first.stats.cache_probes + second.stats.cache_probes
         );
         assert_eq!(session.exec.cache_hits, second.stats.cache_hits);
-    }
-
-    #[test]
-    fn backends_agree_and_route_as_configured() {
-        // fig7's guards are all `field == const`, so every probe is
-        // BDD-classifiable: `auto` and `bdd` must answer entirely without
-        // the SAT engine, `smt` entirely with it — and all three must
-        // produce the same templates and the same probe accounting.
-        let cfg = fig7_cfg(5);
-        let mut runs = Vec::new();
-        for backend in [BackendKind::Smt, BackendKind::Bdd, BackendKind::Auto] {
-            let mut session = SolveSession::new();
-            let out = generate_templates(
-                &cfg,
-                &mut session,
-                &ExecConfig {
-                    backend,
-                    ..ExecConfig::default()
-                },
-            );
-            runs.push((backend, out, session));
-        }
-        let (_, smt_out, smt_session) = &runs[0];
-        for (backend, out, session) in &runs[1..] {
-            assert_eq!(out.templates.len(), smt_out.templates.len());
-            assert_eq!(out.stats.smt_checks, smt_out.stats.smt_checks, "{backend:?}");
-            assert_eq!(out.stats.cache_probes, smt_out.stats.cache_probes);
-            assert_eq!(out.stats.pruned, smt_out.stats.pruned);
-            assert!(out.stats.bdd_probes > 0, "{backend:?} must use the BDD");
-            assert_eq!(out.stats.backend_routed_smt, 0, "nothing out of class");
-            assert_eq!(
-                session.solver_stats().sat_engine_calls,
-                0,
-                "{backend:?}: the SAT engine never ran"
-            );
-        }
-        assert_eq!(smt_out.stats.bdd_probes, 0);
-        assert_eq!(smt_out.stats.backend_routed_bdd, 0);
-        assert!(smt_out.stats.backend_routed_smt > 0);
-        assert!(smt_session.solver_stats().checks > 0);
     }
 
     #[test]
@@ -1248,13 +1175,7 @@ mod tests {
         let cfg = fig7_cfg(4);
         let mut session = SolveSession::new();
         let mut ctx = crate::symstate::SymCtx::new(None);
-        // Pin the SMT backend: under `auto` the fig7 probes are all
-        // match-field-only and the BDD would answer every one, leaving no
-        // solver activity for this test to observe.
-        let config = ExecConfig {
-            backend: BackendKind::Smt,
-            ..ExecConfig::default()
-        };
+        let config = ExecConfig::default();
         let dst = cfg.fields.get("dstIP").unwrap();
         let dst_var = session.pool.var("dstIP", 32);
         let targets = std::collections::HashSet::new();

@@ -28,12 +28,8 @@
 //!   register state threaded between copies ([`meissa_ir::unroll`]),
 //!   sequence templates, and per-packet case splitting; `k = 1` delegates
 //!   to the single-packet engine byte-for-byte.
-//! * [`backend`] — the predicate-backend abstraction: every probe routes
-//!   through a [`backend::PredicateBackend`] (incremental SMT solver or the
-//!   hermetic BDD engine) picked per probe by [`backend::BackendRouter`].
 //! * [`coverage`] — coverage accounting (path / branch / statement).
 
-pub mod backend;
 pub mod coverage;
 pub mod engine;
 pub mod exec;
@@ -44,7 +40,6 @@ pub mod summary;
 pub mod symstate;
 pub mod template;
 
-pub use backend::{default_backend, BackendKind, BackendRouter, PredicateBackend};
 pub use engine::{Meissa, MeissaConfig, RunOutput, RunStats};
 pub use exec::{ExecConfig, ExecOutput, ExecStats};
 pub use session::SolveSession;

@@ -329,7 +329,7 @@ fn worker_loop(
             steals += 1;
             obs::event("worker.steal", &[("depth", task.trace.len() as u64)]);
         }
-        if session.solver().stats.checks >= WORKER_RESET_CHECKS {
+        if session.solver.stats.checks >= WORKER_RESET_CHECKS {
             session.reset_solver();
         }
         // Resolve the task's prefix in this worker's pool. Seed-task ids
@@ -574,10 +574,6 @@ pub(crate) fn explore_parallel(
         stats.cache_hits += out.session.exec.cache_hits;
         stats.batched_probes += out.session.exec.batched_probes;
         stats.arm_batches += out.session.exec.arm_batches;
-        stats.backend_routed_smt += out.session.exec.backend_routed_smt;
-        stats.backend_routed_bdd += out.session.exec.backend_routed_bdd;
-        stats.bdd_probes += out.session.exec.bdd_probes;
-        stats.bdd_nodes += out.session.exec.bdd_nodes;
         stats.timed_out |= out.session.exec.timed_out;
         session.merge_worker(&out.session.exec, &out.session.solver_stats(), &out.session.sat_stats());
     }

@@ -8,10 +8,11 @@
 //! future parallel DFS hands to each worker — a worker owns one session,
 //! and merging workers is merging their cumulative stats.
 
-use crate::backend::{default_backend, BackendRouter};
 use crate::exec::ExecStats;
 use meissa_smt::sat::SatStats;
-use meissa_smt::{ClauseExchange, SharedClause, Solver, SolverStats, TermId, TermPool};
+use meissa_smt::{
+    CheckResult, ClauseExchange, SharedClause, Solver, SolverStats, TermId, TermPool,
+};
 use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -60,12 +61,10 @@ pub enum Verdict {
 pub struct SolveSession {
     /// The term pool every constraint of this session lives in.
     pub pool: TermPool,
-    /// The predicate-backend router every probe flows through: the current
-    /// incremental SMT solver plus the session's BDD engine, with per-probe
-    /// routing (see [`crate::backend`]). Private: explorations manage
-    /// frames and check accounting through it, and
-    /// [`SolveSession::reset_solver`] replaces the SMT side wholesale.
-    pub(crate) backend: BackendRouter,
+    /// The current incremental solver every probe goes to. Crate-private:
+    /// explorations manage frames and check accounting through it, and
+    /// [`SolveSession::reset_solver`] replaces it wholesale.
+    pub(crate) solver: Solver,
     /// Cumulative execution counters across every exploration this session
     /// ran (each call also returns its own per-call [`ExecStats`] delta).
     pub exec: ExecStats,
@@ -87,8 +86,6 @@ pub struct SolveSession {
     /// content hashes folded from per-conjunct structural hashes
     /// ([`meissa_smt::TermPool::term_hash`]) — pool-independent like the
     /// canonical renderings they replaced, but allocation-free per probe.
-    /// The cache sits *above* the backend router: a hit never reaches
-    /// either engine, and both engines populate it on miss.
     pub(crate) verdict_cache: HashMap<u128, bool>,
     /// Read-only verdicts inherited from the parent session at fork time.
     /// Consulted after a `verdict_cache` miss (a hit counts exactly like a
@@ -166,7 +163,7 @@ impl SolveSession {
     pub fn new() -> Self {
         SolveSession {
             pool: TermPool::new(),
-            backend: BackendRouter::new(default_backend()),
+            solver: Solver::new(),
             exec: ExecStats::default(),
             retired: SolverStats::default(),
             retired_sat: SatStats::default(),
@@ -191,9 +188,7 @@ impl SolveSession {
     pub fn fork_from(pool: &TermPool) -> Self {
         SolveSession {
             pool: pool.clone(),
-            // A fresh router with a cold BDD engine: its memo tables key on
-            // this worker's pool lineage, which forks here.
-            backend: BackendRouter::new(default_backend()),
+            solver: Solver::new(),
             exec: ExecStats::default(),
             retired: SolverStats::default(),
             retired_sat: SatStats::default(),
@@ -230,7 +225,7 @@ impl SolveSession {
             return;
         };
         let mut exported = 0u64;
-        for lits in self.solver().export_portable(MAX_SHARE_LITS) {
+        for lits in self.solver.export_portable(MAX_SHARE_LITS) {
             let h = lits
                 .iter()
                 .fold(0x636c_6175_7365u64, |h, &(k, pol)| fold_step(h, k ^ pol as u64));
@@ -262,7 +257,7 @@ impl SolveSession {
             return;
         }
         fresh.append(&mut self.pending_import);
-        let (imported, deferred) = self.backend.solver_mut().import_portable(fresh);
+        let (imported, deferred) = self.solver.import_portable(fresh);
         self.pending_import = deferred;
         if self.pending_import.len() > MAX_PENDING_IMPORTS {
             let excess = self.pending_import.len() - MAX_PENDING_IMPORTS;
@@ -290,7 +285,7 @@ impl SolveSession {
         // A retiring solver's learned clauses are about to be dropped —
         // last chance to publish them for siblings.
         self.share_learned();
-        let old = std::mem::replace(self.backend.solver_mut(), Solver::new());
+        let old = std::mem::replace(&mut self.solver, Solver::new());
         if obs::trace_on() {
             obs::event(
                 "session.solver_retire",
@@ -305,44 +300,36 @@ impl SolveSession {
         self.checks_consumed = 0;
     }
 
-    /// The live incremental SMT solver behind the router (frame management
-    /// and counter reads; probing goes through the router).
-    pub(crate) fn solver(&self) -> &Solver {
-        self.backend.solver()
-    }
-
     /// Cumulative solver counters: every retired solver plus the live one.
     pub fn solver_stats(&self) -> SolverStats {
-        add_solver_stats(self.retired, self.solver().stats)
+        add_solver_stats(self.retired, self.solver.stats)
     }
 
     /// Cumulative SAT-engine counters: every retired solver's engine plus
     /// the live one's.
     pub fn sat_stats(&self) -> SatStats {
-        add_sat_stats(self.retired_sat, self.solver().sat_stats())
+        add_sat_stats(self.retired_sat, self.solver.sat_stats())
     }
 
     /// Live-solver checks not yet attributed to a per-exploration stats
     /// delta; marks them consumed.
     pub(crate) fn take_new_checks(&mut self) -> u64 {
-        let delta = self.solver().stats.checks - self.checks_consumed;
-        self.checks_consumed = self.solver().stats.checks;
+        let delta = self.solver.stats.checks - self.checks_consumed;
+        self.checks_consumed = self.solver.stats.checks;
         delta
     }
 
-    /// Probes every sibling arm of a branch point in one batched backend
+    /// Probes every sibling arm of a branch point in one batched solver
     /// interaction: per arm the verdict cache is consulted first (keyed on
     /// the content hash of `prefix ++ arm`, so verdicts survive across
-    /// explorations and pools), the misses go to the backend router as one
-    /// batch — the BDD engine when the whole query is match-field-only,
-    /// otherwise [`meissa_smt::Solver::check_under`] as one assumption
-    /// batch over the solver's current frame stack — and fresh verdicts
-    /// are fed back into the cache. The solver's live frames must assert
-    /// exactly `prefix`.
+    /// explorations and pools), the misses go to
+    /// [`meissa_smt::Solver::check_under`] as one assumption batch over the
+    /// solver's current frame stack, and fresh verdicts are fed back into
+    /// the cache. The solver's live frames must assert exactly `prefix`.
     ///
-    /// Every arm counts one check (cache hit, BDD answer, or SAT run
-    /// alike), keeping the Fig. 11b metric identical to individual
-    /// `push/assert/check/pop` probing.
+    /// Every arm counts one check (cache hit or SAT run alike), keeping the
+    /// Fig. 11b metric identical to individual `push/assert/check/pop`
+    /// probing.
     pub fn probe_arms(&mut self, prefix: &[TermId], arms: &[TermId]) -> Vec<Verdict> {
         let prefix_hashes: Vec<u64> = prefix.iter().map(|&c| self.pool.term_hash(c)).collect();
         let arm_hashes: Vec<Vec<u64>> = arms
@@ -360,12 +347,11 @@ impl SolveSession {
         let mut exec = ExecStats::default();
         let verdicts = probe_arms_cached(
             &mut self.pool,
-            &mut self.backend,
+            &mut self.solver,
             &mut self.verdict_cache,
             self.base_verdicts.as_deref(),
             &mut exec,
             &prefix_hashes,
-            prefix,
             arms,
             &arm_hashes,
         );
@@ -387,10 +373,6 @@ impl SolveSession {
         self.exec.cache_hits += delta.cache_hits;
         self.exec.batched_probes += delta.batched_probes;
         self.exec.arm_batches += delta.arm_batches;
-        self.exec.backend_routed_smt += delta.backend_routed_smt;
-        self.exec.backend_routed_bdd += delta.backend_routed_bdd;
-        self.exec.bdd_probes += delta.bdd_probes;
-        self.exec.bdd_nodes += delta.bdd_nodes;
         self.exec.elapsed += delta.elapsed;
         self.exec.timed_out |= delta.timed_out;
     }
@@ -425,26 +407,22 @@ impl SolveSession {
 }
 
 /// The cache-then-batch probe shared by [`SolveSession::probe_arms`] and the
-/// walker's branch expansion (which holds the session's pool, router, and
+/// walker's branch expansion (which holds the session's pool, solver, and
 /// cache as separate borrows). Per arm: one `cache_probes`; a hit answers
 /// from the cache (one `cache_hits`, one `smt_checks` — cached validity
-/// check); the misses go to the backend router as one atomic batch — the
-/// BDD engine when `ctx_terms` and every miss arm are match-field-only,
-/// otherwise one [`meissa_smt::Solver::check_under`] call whose per-arm
-/// `checks` the caller attributes via `take_new_checks` — and their
-/// verdicts are fed back into the cache. `prefix_hashes` are the context's
-/// per-conjunct content hashes in assertion order; `ctx_terms` the same
-/// context as terms (what the live frames assert). Returns `unsat?` per
-/// arm, in order.
+/// check); the misses go to one [`meissa_smt::Solver::check_under`] call
+/// whose per-arm `checks` the caller attributes via `take_new_checks`, and
+/// their verdicts are fed back into the cache. `prefix_hashes` are the
+/// live frames' per-conjunct content hashes in assertion order. Returns
+/// `unsat?` per arm, in order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_arms_cached(
     pool: &mut TermPool,
-    backend: &mut BackendRouter,
+    solver: &mut Solver,
     cache: &mut HashMap<u128, bool>,
     base: Option<&HashMap<u128, bool>>,
     exec: &mut ExecStats,
     prefix_hashes: &[u64],
-    ctx_terms: &[TermId],
     arms: &[TermId],
     arm_hashes: &[Vec<u64>],
 ) -> Vec<bool> {
@@ -484,15 +462,15 @@ pub(crate) fn probe_arms_cached(
         m.cache_probes.add(arms.len() as u64);
         m.cache_hits.add((arms.len() - miss_terms.len()) as u64);
     }
-    let solved = backend.check_arm_batch(pool, &[ctx_terms], &miss_terms, exec);
+    let solved = solver.check_under(pool, &miss_terms);
     let mut solved_it = solved.into_iter().zip(miss_keys);
     verdicts
         .into_iter()
         .map(|v| match v {
             Some(unsat) => unsat,
             None => {
-                let (sat, key) = solved_it.next().expect("one verdict per miss");
-                let unsat = !sat;
+                let (verdict, key) = solved_it.next().expect("one verdict per miss");
+                let unsat = verdict == CheckResult::Unsat;
                 cache.insert(key, unsat);
                 unsat
             }
@@ -538,16 +516,16 @@ mod tests {
     fn reset_retires_counters() {
         let mut s = SolveSession::new();
         let t = s.pool.bool_const(true);
-        s.backend.smt.solver.push();
-        s.backend.smt.solver.assert_term(&mut s.pool, t);
-        s.backend.smt.solver.check(&mut s.pool);
+        s.solver.push();
+        s.solver.assert_term(&mut s.pool, t);
+        s.solver.check(&mut s.pool);
         assert_eq!(s.solver_stats().checks, 1);
         s.reset_solver();
         assert_eq!(s.solver_stats().checks, 1, "retired checks survive reset");
         assert_eq!(s.take_new_checks(), 0, "fresh solver has no new checks");
-        s.backend.smt.solver.push();
-        s.backend.smt.solver.assert_term(&mut s.pool, t);
-        s.backend.smt.solver.check(&mut s.pool);
+        s.solver.push();
+        s.solver.assert_term(&mut s.pool, t);
+        s.solver.check(&mut s.pool);
         assert_eq!(s.solver_stats().checks, 2);
         assert_eq!(s.take_new_checks(), 1);
     }
@@ -566,10 +544,6 @@ mod tests {
                 cache_hits: 2,
                 batched_probes: 4,
                 arm_batches: 2,
-                backend_routed_smt: 2,
-                backend_routed_bdd: 1,
-                bdd_probes: 2,
-                bdd_nodes: 10,
                 elapsed: std::time::Duration::from_millis(5),
                 timed_out: false,
             },
@@ -582,10 +556,6 @@ mod tests {
                 cache_hits: 0,
                 batched_probes: 2,
                 arm_batches: 1,
-                backend_routed_smt: 1,
-                backend_routed_bdd: 2,
-                bdd_probes: 3,
-                bdd_nodes: 20,
                 elapsed: std::time::Duration::from_millis(4),
                 timed_out: false,
             },
@@ -598,10 +568,6 @@ mod tests {
                 cache_hits: 1,
                 batched_probes: 0,
                 arm_batches: 0,
-                backend_routed_smt: 0,
-                backend_routed_bdd: 0,
-                bdd_probes: 0,
-                bdd_nodes: 0,
                 elapsed: std::time::Duration::from_millis(1),
                 timed_out: false,
             },
@@ -656,10 +622,6 @@ mod tests {
         assert_eq!(main.exec.cache_hits, 3);
         assert_eq!(main.exec.batched_probes, 6);
         assert_eq!(main.exec.arm_batches, 3);
-        assert_eq!(main.exec.backend_routed_smt, 3);
-        assert_eq!(main.exec.backend_routed_bdd, 3);
-        assert_eq!(main.exec.bdd_probes, 5);
-        assert_eq!(main.exec.bdd_nodes, 30);
         assert!(!main.exec.timed_out);
         // Solver tallies: sums; peak depth via max; live depth is the main
         // session's own (0 — joined workers hold no frames here).
@@ -695,9 +657,9 @@ mod tests {
         // workers land in the same totals.
         let mut s = SolveSession::new();
         let t = s.pool.bool_const(true);
-        s.backend.smt.solver.push();
-        s.backend.smt.solver.assert_term(&mut s.pool, t);
-        s.backend.smt.solver.check(&mut s.pool);
+        s.solver.push();
+        s.solver.assert_term(&mut s.pool, t);
+        s.solver.check(&mut s.pool);
         let own_checks = s.solver_stats().checks;
         s.merge_worker(
             &ExecStats {
@@ -727,10 +689,6 @@ mod tests {
             cache_hits: 2,
             batched_probes: 3,
             arm_batches: 1,
-            backend_routed_smt: 2,
-            backend_routed_bdd: 1,
-            bdd_probes: 2,
-            bdd_nodes: 7,
             elapsed: std::time::Duration::from_millis(2),
             timed_out: false,
         };
@@ -740,10 +698,6 @@ mod tests {
         assert_eq!(s.exec.smt_checks, 10);
         assert_eq!(s.exec.cache_probes, 8);
         assert_eq!(s.exec.cache_hits, 4);
-        assert_eq!(s.exec.backend_routed_smt, 4);
-        assert_eq!(s.exec.backend_routed_bdd, 2);
-        assert_eq!(s.exec.bdd_probes, 4);
-        assert_eq!(s.exec.bdd_nodes, 14);
         assert!(!s.exec.timed_out);
     }
 }

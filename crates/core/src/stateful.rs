@@ -220,10 +220,6 @@ impl Meissa {
         stats.cache_hits = session.exec.cache_hits;
         stats.batched_probes = session.exec.batched_probes;
         stats.arm_batches = session.exec.arm_batches;
-        stats.backend_routed_smt = session.exec.backend_routed_smt;
-        stats.backend_routed_bdd = session.exec.backend_routed_bdd;
-        stats.bdd_probes = session.exec.bdd_probes;
-        stats.bdd_nodes = session.exec.bdd_nodes;
         stats.solver = session.solver_stats();
         stats.sat = session.sat_stats();
         stats.elapsed = t0.elapsed();

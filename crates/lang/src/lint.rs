@@ -7,7 +7,7 @@
 //! errors — production programs legitimately stage unused objects — so
 //! they surface as warnings.
 
-use crate::ast::{CtrlStmt, MatchKind, Program, Transition};
+use crate::ast::{CtrlStmt, MatchKind, Program};
 use crate::rules::{KeyMatch, RuleSet};
 use std::collections::HashSet;
 use std::fmt;
@@ -252,9 +252,6 @@ fn never_valid_headers(prog: &Program, out: &mut Vec<Lint>) {
             for e in &s.extracts {
                 can_be_valid.insert(e.as_str());
             }
-            if let Transition::Select { .. } | Transition::Goto(_) | Transition::Accept =
-                &s.transition
-            {}
         }
     }
     for a in &prog.actions {

@@ -9,7 +9,7 @@ use meissa_dataplane::{Fault, SwitchTarget};
 use meissa_driver::{TestDriver, Verdict};
 use meissa_lang::{compile, parse_program, parse_rules, CompiledProgram};
 use meissa_netdriver::proto::{
-    decode, decode_request_wire, decode_response_wire, encode, encode_request_wire,
+    decode, decode_request_wire, decode_response_wire, encode_request_wire,
     encode_response_wire, is_binary, Framing, Request, Response,
 };
 use meissa_netdriver::{hello, Agent, SoakConfig, WireDriver};

@@ -43,7 +43,6 @@
 //! solver.pop();
 //! ```
 
-pub mod bdd;
 pub mod blast;
 pub mod sat;
 pub mod solver;

@@ -191,12 +191,28 @@ fn solver_agrees_with_brute_force() {
 }
 
 /// Batched assumption probing is observationally identical to individual
-/// probing: for a random prefix formula and a random set of sibling arms,
+/// probing: for a prefix formula and a set of sibling arms,
 /// `check_under(arms)` returns exactly the verdicts that a fresh solver
 /// produces by probing each arm with its own `push/assert/check/pop`
 /// cycle — and the batch leaves the assertion stack's own verdict intact.
+/// Inputs are random small formulas plus one deterministic wide batch:
+/// 600 `z == c_i` arms over a 16-bit field under `z < 0x4000`, the shape of
+/// a wide exact-match table probed at one branch point.
 #[test]
 fn check_under_matches_individual_probes() {
+    let mut pool = TermPool::new();
+    let z = pool.var("z", 16);
+    let bound = pool.bv_const(Bv::new(16, 0x4000));
+    let prefix = pool.ult(z, bound);
+    let arms: Vec<TermId> = (0..600u128)
+        .map(|i| {
+            let c = pool.bv_const(Bv::new(16, (i * 109) & 0xffff));
+            pool.eq(z, c)
+        })
+        .collect();
+    let verdicts = batch_matches_individual(&mut pool, prefix, &arms).unwrap();
+    assert!(verdicts.contains(&CheckResult::Sat) && verdicts.contains(&CheckResult::Unsat));
+
     prop::check(prop::DEFAULT_CASES, |g| {
         let prefix = arb_formula(g, 2);
         let n_arms = g.range(1..5usize);
@@ -207,38 +223,47 @@ fn check_under_matches_individual_probes() {
         pool.var("y", 4);
         let t_prefix = build_formula(&mut pool, &prefix);
         let t_arms: Vec<TermId> = arms.iter().map(|a| build_formula(&mut pool, a)).collect();
-
-        // Batched: one solver, one check_under over all sibling arms.
-        let mut batched = Solver::new();
-        batched.push();
-        batched.assert_term(&mut pool, t_prefix);
-        let before = batched.check(&mut pool);
-        let got = batched.check_under(&mut pool, &t_arms);
-        let after = batched.check(&mut pool);
-        prop_assert_eq!(before, after, "check_under must not disturb the stack");
-
-        // Individual: a fresh solver probing each arm in its own frame.
-        let mut single = Solver::new();
-        single.push();
-        single.assert_term(&mut pool, t_prefix);
-        let mut want = Vec::with_capacity(t_arms.len());
-        for &arm in &t_arms {
-            single.push();
-            single.assert_term(&mut pool, arm);
-            want.push(single.check(&mut pool));
-            single.pop();
-        }
-
-        prop_assert_eq!(&got, &want, "batched verdicts must match individual probes");
-        // Counter parity: each batched arm costs exactly one `checks`, like
-        // an individual probe (Fig. 11b comparability).
-        prop_assert_eq!(
-            batched.stats.checks,
-            single.stats.checks + 2,
-            "one check per arm plus the two stack checks"
-        );
-        Ok(())
+        batch_matches_individual(&mut pool, t_prefix, &t_arms).map(|_| ())
     });
+}
+
+/// Probes `arms` under `prefix` both ways and checks that verdicts and
+/// `checks` counters agree; returns the verdicts.
+fn batch_matches_individual(
+    pool: &mut TermPool,
+    prefix: TermId,
+    arms: &[TermId],
+) -> Result<Vec<CheckResult>, String> {
+    // Batched: one solver, one check_under over all sibling arms.
+    let mut batched = Solver::new();
+    batched.push();
+    batched.assert_term(pool, prefix);
+    let before = batched.check(pool);
+    let got = batched.check_under(pool, arms);
+    let after = batched.check(pool);
+    prop_assert_eq!(before, after, "check_under must not disturb the stack");
+
+    // Individual: a fresh solver probing each arm in its own frame.
+    let mut single = Solver::new();
+    single.push();
+    single.assert_term(pool, prefix);
+    let mut want = Vec::with_capacity(arms.len());
+    for &arm in arms {
+        single.push();
+        single.assert_term(pool, arm);
+        want.push(single.check(pool));
+        single.pop();
+    }
+
+    prop_assert_eq!(&got, &want, "batched verdicts must match individual probes");
+    // Counter parity: each batched arm costs exactly one `checks`, like
+    // an individual probe (Fig. 11b comparability).
+    prop_assert_eq!(
+        batched.stats.checks,
+        single.stats.checks + 2,
+        "one check per arm plus the two stack checks"
+    );
+    Ok(got)
 }
 
 /// Push/pop leaves earlier frames intact: asserting a random formula in

@@ -961,11 +961,16 @@ mod tests {
         let _g = lock();
         reset_for_test();
         set_flag(F_TRACE, true);
+        // Join explicitly, as the engine's worker pools do: the native join
+        // returns only after the thread's TLS destructors ran, while the
+        // scope's implicit join can return before they park the records.
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _sp = span("worker");
                 event("inside", &[]);
-            });
+            })
+            .join()
+            .expect("worker thread panicked");
         });
         set_flag(F_TRACE, false);
         let recs = drain();

@@ -9,26 +9,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Warnings are errors. Exported once so every step below builds with the
+# same flags and none of them rebuilds the workspace.
+export RUSTFLAGS="-D warnings"
+
 echo "==> build (release, offline)"
 cargo build --release --offline --workspace --benches
 
-echo "==> test (offline, sequential engine: MEISSA_THREADS=1, auto backend)"
-# MEISSA_BACKEND=auto is the default; pin it so the CI run is explicit
-# about which predicate backend answered the probes.
-MEISSA_BACKEND=auto MEISSA_THREADS=1 cargo test -q --offline --workspace
+echo "==> test (offline, sequential engine: MEISSA_THREADS=1)"
+MEISSA_THREADS=1 cargo test -q --offline --workspace
 
-echo "==> test (offline, parallel engine: MEISSA_THREADS=4, auto backend)"
+echo "==> test (offline, parallel engine: MEISSA_THREADS=4)"
 # Same suite again under the work-stealing explorer: templates must be
 # byte-identical to the sequential run (the golden/e2e tests assert exact
 # output), so this catches any thread-count-dependent behavior.
-MEISSA_BACKEND=auto MEISSA_THREADS=4 cargo test -q --offline --workspace
-
-echo "==> test (offline, smt-only backend: MEISSA_BACKEND=smt)"
-# The suite once more with every probe forced onto the incremental SMT
-# solver: output must not depend on which backend decided the probes
-# (backend_equivalence/backend_prop assert it explicitly; the rest of the
-# suite re-asserts it wholesale).
-MEISSA_BACKEND=smt MEISSA_THREADS=4 cargo test -q --offline -p meissa-suite -p meissa-core
+MEISSA_THREADS=4 cargo test -q --offline --workspace
 
 echo "==> test (offline, clause exchange off: MEISSA_CLAUSE_SHARE=off)"
 # The parallel run once more with the learned-clause exchange disabled:

@@ -10,7 +10,7 @@
 //! * p4pktgen-like / Gauntlet-like — testing baselines with their
 //!   documented feature/scale limits.
 
-use meissa::baselines::{aquila, gauntlet, p4pktgen, pta, ToolVerdict};
+use meissa::baselines::{aquila, gauntlet, p4pktgen, pta};
 use meissa::core::Meissa;
 use meissa::dataplane::SwitchTarget;
 use meissa::driver::TestDriver;
