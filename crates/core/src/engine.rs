@@ -212,6 +212,10 @@ pub struct RunOutput {
     pub templates: Vec<TestTemplate>,
     /// Statistics.
     pub stats: RunStats,
+    /// The run's worker-thread count ([`MeissaConfig::threads`], at least
+    /// 1). Consumers that parallelize work over the templates, such as the
+    /// driver's case planner, use it so one setting governs the whole run.
+    pub threads: usize,
 }
 
 impl RunOutput {
@@ -387,6 +391,7 @@ impl Meissa {
             cfg,
             templates,
             stats,
+            threads: self.config.threads.max(1),
         }
     }
 }

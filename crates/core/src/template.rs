@@ -10,7 +10,7 @@
 
 use crate::symstate::HashDef;
 use meissa_ir::{ConcreteState, FieldId, FieldTable, NodeId};
-use meissa_num::Bv;
+use meissa_smt::term::EvalValue;
 use meissa_smt::{CheckResult, Solver, TermId, TermPool};
 
 /// A deferred hash check attached to a template (§4).
@@ -54,6 +54,22 @@ pub struct TestTemplate {
 }
 
 impl TestTemplate {
+    /// A solver holding this template's constraints in one open frame, not
+    /// yet checked. Every instantiation starts from this state, so callers
+    /// that instantiate one template several times build it once and hand
+    /// clones to [`TestTemplate::instantiate_on`]: a clone taken before any
+    /// `check` is the very state a fresh solver reaches by asserting the
+    /// same constraints, so each clone finds the same model that fresh
+    /// solver would, while bit-blasting the constraints only once.
+    pub fn base_solver(&self, pool: &mut TermPool) -> Solver {
+        let mut solver = Solver::new();
+        solver.push();
+        for &c in &self.constraints {
+            solver.assert_term(pool, c);
+        }
+        solver
+    }
+
     /// Instantiates the template into a concrete input state.
     ///
     /// Returns `None` when the constraints are unsatisfiable (which
@@ -66,9 +82,23 @@ impl TestTemplate {
         fields: &FieldTable,
         extra: &[TermId],
     ) -> Option<ConcreteState> {
-        let mut solver = Solver::new();
-        solver.push();
-        for &c in self.constraints.iter().chain(extra) {
+        let base = self.base_solver(pool);
+        self.instantiate_on(base, pool, fields, extra)
+    }
+
+    /// [`TestTemplate::instantiate`] on a solver already holding the
+    /// template's constraints: `solver` is this template's
+    /// [`TestTemplate::base_solver`] over the same `pool`, or a clone of it.
+    /// The `extra` constraints join the constraints' frame. From an
+    /// unchecked base it returns exactly what `instantiate` would.
+    pub fn instantiate_on(
+        &self,
+        mut solver: Solver,
+        pool: &mut TermPool,
+        fields: &FieldTable,
+        extra: &[TermId],
+    ) -> Option<ConcreteState> {
+        for &c in extra {
             solver.assert_term(pool, c);
         }
         if solver.check(pool) != CheckResult::Sat {
@@ -79,12 +109,16 @@ impl TestTemplate {
             // §4 hash repair: pin every hash key to its model value, compute
             // the true hash, and require the stand-in to equal it. One
             // round suffices because pinned keys make each hash concrete.
-            let model = solver.model(pool);
+            // Asserting does not touch the model, so every key reads the
+            // first check's values.
             solver.push();
             for ob in &self.hash_obligations {
                 let mut key_vals = Vec::with_capacity(ob.keys.len());
                 for &k in &ob.keys {
-                    let v = eval_term_under_model(pool, &model, k)?;
+                    let v = match pool.eval(k, &|var| Some(solver.value(pool, var)))? {
+                        EvalValue::Bv(v) => v,
+                        EvalValue::Bool(_) => return None,
+                    };
                     let kc = pool.bv_const(v);
                     let pin = pool.eq(k, kc);
                     solver.assert_term(pool, pin);
@@ -102,21 +136,15 @@ impl TestTemplate {
             }
         }
 
-        let model = solver.model(pool);
-        let mut pairs = Vec::new();
-        for f in fields.iter() {
-            if fields.is_auxiliary(f) {
-                continue; // summary scratch variables are not packet input
-            }
-            if let Some(v) = model.value_of(fields.name(f)) {
-                pairs.push((f, v));
-            }
-        }
+        // Read only the input fields' values: a field with no variable in
+        // the pool never reached any constraint and stays absent.
+        let pairs = fields
+            .iter()
+            .filter(|&f| !fields.is_auxiliary(f)) // summary scratch, not packet input
+            .filter_map(|f| Some((f, solver.value(pool, pool.find_var(fields.name(f))?))));
         Some(ConcreteState::from_pairs(pairs))
     }
-}
 
-impl TestTemplate {
     /// Generates up to `n` *distinct* concrete inputs for this template —
     /// "One or more input-output test cases can be generated based on the
     /// template for a path" (§2.1). Each round adds disequalities against
@@ -129,34 +157,56 @@ impl TestTemplate {
         fields: &FieldTable,
         n: usize,
     ) -> Vec<ConcreteState> {
+        let base = self.base_solver(pool);
+        self.instantiate_distinct_on(&base, pool, fields, n)
+    }
+
+    /// [`TestTemplate::instantiate_distinct`] with every round on a clone
+    /// of `base`, this template's [`TestTemplate::base_solver`] over the
+    /// same `pool`.
+    pub fn instantiate_distinct_on(
+        &self,
+        base: &Solver,
+        pool: &mut TermPool,
+        fields: &FieldTable,
+        n: usize,
+    ) -> Vec<ConcreteState> {
         let mut out: Vec<ConcreteState> = Vec::new();
         let mut extra: Vec<TermId> = Vec::new();
-        for _ in 0..n {
-            let Some(state) = self.instantiate(pool, fields, &extra) else {
+        // The template's own non-auxiliary input fields, which later rounds
+        // must not repeat; only needed once a second round is due.
+        let mut used: Option<Vec<FieldId>> = None;
+        while out.len() < n {
+            let Some(state) = self.instantiate_on(base.clone(), pool, fields, &extra) else {
                 break; // the remaining input space is exhausted
             };
-            // Exclude this exact assignment of the template's own input
-            // fields from later rounds.
-            let mut used: Vec<meissa_ir::FieldId> = Vec::new();
-            for &c in &self.constraints {
-                collect_fields_of(pool, fields, c, &mut used);
-            }
-            used.sort();
-            used.dedup();
-            let mut differs: Vec<TermId> = Vec::new();
-            for f in used {
-                if fields.is_auxiliary(f) {
-                    continue;
-                }
-                let var = pool.var(fields.name(f), fields.width(f));
-                let val = pool.bv_const(state.get(fields, f));
-                let ne = pool.ne(var, val);
-                differs.push(ne);
-            }
             out.push(state);
-            if differs.is_empty() {
+            if out.len() == n {
+                break; // no later round to exclude this packet from
+            }
+            let used = used.get_or_insert_with(|| {
+                let mut used = Vec::new();
+                for &c in &self.constraints {
+                    collect_fields_of(pool, fields, c, &mut used);
+                }
+                used.sort();
+                used.dedup();
+                used.retain(|&f| !fields.is_auxiliary(f));
+                used
+            });
+            if used.is_empty() {
                 break; // fully-constrained path: only one packet exists
             }
+            // Exclude this exact assignment from later rounds.
+            let state = out.last().expect("pushed above");
+            let differs: Vec<TermId> = used
+                .iter()
+                .map(|&f| {
+                    let var = pool.var(fields.name(f), fields.width(f));
+                    let val = pool.bv_const(state.get(fields, f));
+                    pool.ne(var, val)
+                })
+                .collect();
             let any_diff = pool.or_many(&differs);
             extra.push(any_diff);
         }
@@ -165,12 +215,7 @@ impl TestTemplate {
 }
 
 /// Collects the fields whose input variables appear in a term.
-fn collect_fields_of(
-    pool: &TermPool,
-    fields: &FieldTable,
-    t: TermId,
-    out: &mut Vec<meissa_ir::FieldId>,
-) {
+fn collect_fields_of(pool: &TermPool, fields: &FieldTable, t: TermId, out: &mut Vec<FieldId>) {
     use meissa_smt::TermNode::*;
     match *pool.node(t) {
         BvVar(_) => {
@@ -197,24 +242,11 @@ fn collect_fields_of(
     }
 }
 
-/// Evaluates a term under a model (all variables resolved from the model;
-/// unconstrained ones default to zero via the model itself).
-fn eval_term_under_model(
-    pool: &TermPool,
-    model: &meissa_smt::Model,
-    t: TermId,
-) -> Option<Bv> {
-    let env = |v: meissa_smt::VarId| model.value_of(pool.var_name(v));
-    match pool.eval(t, &env)? {
-        meissa_smt::term::EvalValue::Bv(b) => Some(b),
-        meissa_smt::term::EvalValue::Bool(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use meissa_ir::HashAlg;
+    use meissa_num::Bv;
 
     #[test]
     fn instantiate_simple_constraint() {

@@ -26,10 +26,12 @@ pub use localize::{trace_execution, TraceStep};
 pub use report::{CaseResult, SoakStats, TestReport, Verdict};
 
 use meissa_core::stateful::StatefulRunOutput;
-use meissa_core::RunOutput;
+use meissa_core::{RunOutput, TestTemplate};
 use meissa_dataplane::{parse_packet, Packet, SwitchTarget, TargetOutput};
-use meissa_ir::ConcreteState;
+use meissa_ir::{ConcreteState, FieldTable};
 use meissa_lang::CompiledProgram;
+use meissa_smt::{TermId, TermPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What a receiver observed for one injected packet, however it observed
@@ -113,6 +115,17 @@ impl CaseSpec {
 /// deployment workflow where "network engineers specify test-case-specific
 /// constraints"). Each case gets a globally unique `wire_id` (1-based,
 /// in plan order).
+///
+/// Each template's constraints are bit-blasted once; every instantiation
+/// of it solves an unchecked clone of that solver, which finds the same
+/// model a fresh solver would, and reads only the model values the case
+/// needs. Templates are planned by `run.threads` workers: the calling
+/// thread on the run's term pool, each helper thread on its own clone of
+/// it (no thread is spawned when `run.threads` is 1). `wire_id`s are
+/// assigned in template order after the workers join. The plan is
+/// byte-identical for every worker count: terms are stored in a
+/// content-canonical shape, so a forked pool blasts them to the same
+/// clauses and the solver returns the same models.
 pub fn plan_cases(
     program: &CompiledProgram,
     run: &mut RunOutput,
@@ -120,27 +133,23 @@ pub fn plan_cases(
 ) -> Vec<CaseSpec> {
     let mut ctx = meissa_core::symstate::SymCtx::new(None);
     let v0 = meissa_core::symstate::ValueStack::new();
-    let givens: Vec<meissa_smt::TermId> = program
+    let givens: Vec<TermId> = program
         .intents
         .iter()
         .map(|i| ctx.bexp(&mut run.pool, &run.cfg.fields, &v0, &i.given))
         .collect();
+    let planned = plan_templates(run, &givens, packets_per_template);
     let mut cases = Vec::new();
     let mut next_id: u64 = 1;
-    for idx in 0..run.templates.len() {
-        let template_id = run.templates[idx].id;
-        let inputs = run.templates[idx].clone().instantiate_distinct(
-            &mut run.pool,
-            &run.cfg.fields,
-            packets_per_template,
-        );
-        if inputs.is_empty() {
+    for (t, p) in run.templates.iter().zip(planned) {
+        let template_id = t.id;
+        if p.distinct.is_empty() {
             cases.push(CaseSpec::Skip {
                 template_id,
                 reason: "template unsatisfiable at instantiation (hash filter)".into(),
             });
         }
-        for input in inputs {
+        for input in p.distinct.into_iter().chain(p.intents) {
             cases.push(CaseSpec::Case {
                 template_id,
                 wire_id: next_id,
@@ -148,20 +157,83 @@ pub fn plan_cases(
             });
             next_id += 1;
         }
-        for &g in &givens {
-            if let Some(input) =
-                run.templates[idx].instantiate(&mut run.pool, &run.cfg.fields, &[g])
-            {
-                cases.push(CaseSpec::Case {
-                    template_id,
-                    wire_id: next_id,
-                    input,
-                });
-                next_id += 1;
-            }
-        }
     }
     cases
+}
+
+/// One template's planned inputs, before `wire_id`s are assigned.
+struct Planned {
+    /// The distinct instantiations (empty when the template is unsatisfiable).
+    distinct: Vec<ConcreteState>,
+    /// One instantiation per intent whose `given` the template admits.
+    intents: Vec<ConcreteState>,
+}
+
+fn plan_template(
+    t: &TestTemplate,
+    pool: &mut TermPool,
+    fields: &FieldTable,
+    givens: &[TermId],
+    packets_per_template: usize,
+) -> Planned {
+    let base = t.base_solver(pool);
+    Planned {
+        distinct: t.instantiate_distinct_on(&base, pool, fields, packets_per_template),
+        intents: givens
+            .iter()
+            .filter_map(|&g| t.instantiate_on(base.clone(), pool, fields, &[g]))
+            .collect(),
+    }
+}
+
+/// Plans every template of `run`, indexed like `run.templates`. Workers
+/// take the next unplanned template from a shared counter, so a slow
+/// template holds up only its own worker. The calling thread is the first
+/// worker; only the others are spawned.
+fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Planned> {
+    let RunOutput {
+        pool,
+        cfg,
+        templates,
+        threads,
+        ..
+    } = run;
+    let fields = &cfg.fields;
+    let workers = (*threads).min(templates.len()).max(1);
+    let next = AtomicUsize::new(0);
+    let work = |pool: &mut TermPool| {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; the planned
+            // cases come back through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(t) = templates.get(i) else {
+                return done;
+            };
+            done.push((i, plan_template(t, pool, fields, givens, n)));
+        }
+    };
+    let mut slots: Vec<Option<Planned>> = templates.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let work = &work;
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| {
+                let mut forked = pool.clone();
+                s.spawn(move || work(&mut forked))
+            })
+            .collect();
+        let own = work(pool);
+        let joined = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("plan worker panicked"));
+        for (i, p) in own.into_iter().chain(joined) {
+            slots[i] = Some(p);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|p| p.expect("every template planned"))
+        .collect()
 }
 
 /// One planned k-packet sequence case. The ordered counterpart of

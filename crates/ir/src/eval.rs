@@ -58,7 +58,18 @@ impl ConcreteState {
 
     /// Builds a state from (field, value) pairs.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (FieldId, Bv)>) -> Self {
-        let mut s = ConcreteState::default();
+        // One exact allocation: a test plan holds every planned input at
+        // once, so growing slot by slot would leave spare capacity behind.
+        let pairs: Vec<(FieldId, Bv)> = pairs.into_iter().collect();
+        let len = pairs
+            .iter()
+            .map(|(f, _)| f.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut s = ConcreteState {
+            values: vec![None; len],
+            count: 0,
+        };
         for (f, v) in pairs {
             s.set_unchecked(f, v);
         }

@@ -14,6 +14,7 @@ use meissa_num::Bv;
 use std::collections::HashMap;
 
 /// The bit-blaster: caches per-term encodings and variable bit vectors.
+#[derive(Clone)]
 pub struct Blaster {
     /// SAT literal that is constrained to be true.
     true_lit: Lit,
@@ -79,6 +80,12 @@ impl Blaster {
     /// The bits allocated for a solver variable, if it was ever blasted.
     pub fn var_bits(&self, v: VarId) -> Option<&[Lit]> {
         self.var_bits.get(&v).map(|b| b.as_slice())
+    }
+
+    /// Every solver variable that has been blasted, in no particular order.
+    /// These are the only variables a SAT model constrains.
+    pub fn blasted_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.var_bits.keys().copied()
     }
 
     /// Reads a variable's value out of the SAT model (after a Sat answer).

@@ -110,7 +110,7 @@ struct Watch {
 }
 
 /// An indexed max-heap over variable activity (the VSIDS order).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct OrderHeap {
     heap: Vec<Var>,
     /// Position of each var in `heap`, or `usize::MAX` if absent.
@@ -212,6 +212,7 @@ pub struct SatStats {
 }
 
 /// The CDCL SAT solver.
+#[derive(Clone)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watch>>,

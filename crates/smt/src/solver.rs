@@ -82,6 +82,7 @@ pub struct SolverStats {
     pub max_depth: u64,
 }
 
+#[derive(Clone)]
 struct Frame {
     activation: Lit,
     /// True if some assertion in this frame folded to the constant `false`.
@@ -106,6 +107,14 @@ fn frame_key(f: &Frame) -> u64 {
 }
 
 /// An incremental bitvector SMT solver.
+///
+/// `Clone` copies the complete state — clause database, learned clauses,
+/// heuristic scores, blaster caches and the last model — so a clone and
+/// its original answer every later interaction identically, and solving
+/// one leaves the other untouched. Cloning a solver that holds a set of
+/// assertions is how a caller reuses one bit-blasting of them across
+/// several independent queries.
+#[derive(Clone)]
 pub struct Solver {
     sat: SatSolver,
     blaster: Option<Blaster>, // lazily created so `Solver::new` needs no pool
@@ -222,15 +231,7 @@ impl Solver {
     /// not assign) evaluate `t` to true? Evaluation is on the *term*, so it
     /// is sound regardless of what has been bit-blasted since the capture.
     fn model_certifies(&self, pool: &TermPool, t: TermId) -> bool {
-        let model = &self.last_model;
-        let env = move |v: VarId| {
-            Some(
-                model
-                    .get(&v)
-                    .copied()
-                    .unwrap_or_else(|| Bv::zero(pool.var_width(v))),
-            )
-        };
+        let env = |v: VarId| Some(self.value(pool, v));
         matches!(pool.eval(t, &env), Some(EvalValue::Bool(true)))
     }
 
@@ -284,9 +285,10 @@ impl Solver {
     fn capture_model(&mut self, pool: &TermPool) {
         self.last_model.clear();
         if let Some(blaster) = &self.blaster {
-            for v in pool.all_vars() {
-                let w = pool.var_width(v);
-                if let Some(bv) = blaster.read_var(&self.sat, v, w) {
+            // Only blasted variables have bits in the SAT model; the rest
+            // of the pool is unconstrained and reads as zero.
+            for v in blaster.blasted_vars() {
+                if let Some(bv) = blaster.read_var(&self.sat, v, pool.var_width(v)) {
                     self.last_model.insert(v, bv);
                 }
             }
@@ -376,6 +378,17 @@ impl Solver {
         out
     }
 
+    /// One variable's value in the model from the most recent `Sat`
+    /// answer — the same value [`Solver::model`] reports for it, without
+    /// building the whole model. Variables that never appeared in any
+    /// asserted constraint are unconstrained and read as zero.
+    pub fn value(&self, pool: &TermPool, v: VarId) -> Bv {
+        self.last_model
+            .get(&v)
+            .copied()
+            .unwrap_or_else(|| Bv::zero(pool.var_width(v)))
+    }
+
     /// The model from the most recent `Sat` answer.
     ///
     /// Variables that never appeared in any asserted constraint are
@@ -383,9 +396,7 @@ impl Solver {
     pub fn model(&self, pool: &TermPool) -> Model {
         let mut values = HashMap::new();
         for v in pool.all_vars() {
-            let w = pool.var_width(v);
-            let bv = self.last_model.get(&v).copied().unwrap_or(Bv::zero(w));
-            values.insert(pool.var_name(v).to_string(), bv);
+            values.insert(pool.var_name(v).to_string(), self.value(pool, v));
         }
         Model { values }
     }

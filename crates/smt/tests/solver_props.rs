@@ -1,7 +1,9 @@
 //! Property tests for the SMT solver: on randomly generated bitvector
 //! formulas, (i) every `Sat` answer's model actually satisfies the formula
-//! under concrete evaluation, and (ii) for tiny variable domains the
-//! solver's verdict agrees with brute-force enumeration.
+//! under concrete evaluation, (ii) for tiny variable domains the
+//! solver's verdict agrees with brute-force enumeration, and (iii) single
+//! value reads and solver clones answer exactly like whole models and
+//! fresh solvers.
 
 use meissa_num::Bv;
 use meissa_smt::term::EvalValue;
@@ -289,6 +291,167 @@ fn push_pop_isolation() {
         solver.pop();
         let after = solver.check(&mut pool);
         prop_assert_eq!(before, after, "outer frame verdict must be stable");
+        Ok(())
+    });
+}
+
+/// One solver interaction in a random session.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Push,
+    Pop,
+    Assert(TermId),
+    Check,
+    CheckUnder(TermId, TermId),
+}
+
+/// A random interaction sequence of `len` steps over the boolean formulas
+/// `terms`, starting at frame depth `depth`, and the depth it ends at.
+/// Asserts only into an open frame and never pops the outermost one.
+fn arb_ops(g: &mut G, terms: &[TermId], mut depth: usize, len: usize) -> (Vec<Op>, usize) {
+    let mut ops = Vec::with_capacity(len);
+    let term = |g: &mut G| terms[g.index(terms.len())];
+    for _ in 0..len {
+        let op = match g.index(5) {
+            0 => Op::Push,
+            1 if depth > 1 => Op::Pop,
+            2 if depth > 0 => Op::Assert(term(g)),
+            3 => Op::CheckUnder(term(g), term(g)),
+            _ => Op::Check,
+        };
+        match op {
+            Op::Push => depth += 1,
+            Op::Pop => depth -= 1,
+            _ => {}
+        }
+        ops.push(op);
+    }
+    (ops, depth)
+}
+
+/// What one interaction answered, plus every pool variable's value
+/// afterwards (read one at a time with `Solver::value`).
+type Outcome = (Vec<CheckResult>, Vec<Bv>);
+
+/// Applies `ops`, checking after each one that `value` agrees with `model`
+/// for every pool variable, and returns the outcome of each step.
+fn apply(solver: &mut Solver, pool: &mut TermPool, ops: &[Op]) -> Result<Vec<Outcome>, String> {
+    let mut out = Vec::with_capacity(ops.len());
+    for &op in ops {
+        let verdicts = match op {
+            Op::Push => {
+                solver.push();
+                Vec::new()
+            }
+            Op::Pop => {
+                solver.pop();
+                Vec::new()
+            }
+            Op::Assert(t) => {
+                solver.assert_term(pool, t);
+                Vec::new()
+            }
+            Op::Check => vec![solver.check(pool)],
+            Op::CheckUnder(a, b) => solver.check_under(pool, &[a, b]),
+        };
+        let model = solver.model(pool);
+        let mut values = Vec::new();
+        for v in pool.all_vars() {
+            let value = solver.value(pool, v);
+            prop_assert_eq!(
+                Some(value),
+                model.value_of(pool.var_name(v)),
+                "value() must agree with model() after {:?}",
+                op
+            );
+            values.push(value);
+        }
+        out.push((verdicts, values));
+    }
+    Ok(out)
+}
+
+/// A pool with the two formula variables plus `w`, a variable no formula
+/// mentions (never blasted, so it must read as zero), and `n` random
+/// formulas over it.
+fn arb_pool(g: &mut G, n: usize) -> (TermPool, Vec<TermId>) {
+    let mut pool = TermPool::new();
+    pool.var("x", 4);
+    pool.var("y", 4);
+    pool.var("w", 12);
+    let terms = (0..n)
+        .map(|_| {
+            let f = arb_formula(g, 2);
+            build_formula(&mut pool, &f)
+        })
+        .collect();
+    (pool, terms)
+}
+
+/// After any interleaving of assertions, checks and batched probes,
+/// `Solver::value` reads exactly what `Solver::model` reports for every
+/// pool variable, and a never-blasted variable reads as zero.
+#[test]
+fn value_reads_agree_with_the_model() {
+    prop::check(prop::DEFAULT_CASES, |g| {
+        let (mut pool, terms) = arb_pool(g, 4);
+        let w = pool.find_var("w").unwrap();
+        let mut solver = Solver::new();
+        solver.push();
+        let (ops, _) = arb_ops(g, &terms, 1, 12);
+        apply(&mut solver, &mut pool, &ops)?;
+        prop_assert_eq!(
+            solver.value(&pool, w),
+            Bv::zero(12),
+            "unblasted var reads zero"
+        );
+        Ok(())
+    });
+}
+
+/// A solver cloned after its assertions and before `check` is the state a
+/// fresh solver reaches from the same assertion sequence: the clone answers
+/// every later interaction with the same verdicts and the same values. And
+/// solving the clone leaves the original untouched: it goes on answering
+/// exactly like a twin that was never cloned.
+#[test]
+fn clones_answer_like_fresh_solvers_and_leave_the_original_alone() {
+    prop::check(prop::DEFAULT_CASES, |g| {
+        let (mut pool, terms) = arb_pool(g, 5);
+        let n_prefix = g.range(0..6usize);
+        let (ops, depth) = arb_ops(g, &terms, 1, n_prefix);
+        let mut prefix = vec![Op::Push];
+        prefix.extend(ops);
+        // End on assertions so the clone is taken before any check of them.
+        prefix.push(Op::Assert(terms[g.index(terms.len())]));
+        prefix.push(Op::Assert(terms[g.index(terms.len())]));
+        let mut after_clone = vec![Op::Check];
+        after_clone.extend(arb_ops(g, &terms, depth, 8).0);
+        let (later, _) = arb_ops(g, &terms, depth, 8);
+
+        let mut original = Solver::new();
+        apply(&mut original, &mut pool, &prefix)?;
+        let mut twin = Solver::new();
+        apply(&mut twin, &mut pool, &prefix)?;
+
+        let mut clone = original.clone();
+        let from_clone = apply(&mut clone, &mut pool, &after_clone)?;
+        let mut fresh = Solver::new();
+        apply(&mut fresh, &mut pool, &prefix)?;
+        let from_fresh = apply(&mut fresh, &mut pool, &after_clone)?;
+        prop_assert_eq!(
+            from_clone,
+            from_fresh,
+            "clone must answer like a fresh solver"
+        );
+
+        let from_original = apply(&mut original, &mut pool, &later)?;
+        let from_twin = apply(&mut twin, &mut pool, &later)?;
+        prop_assert_eq!(
+            from_original,
+            from_twin,
+            "solving a clone must not change the original's answers"
+        );
         Ok(())
     });
 }

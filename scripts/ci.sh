@@ -89,6 +89,16 @@ echo "==> bench smoke: gw-3-r8 figures row vs goldens"
 # relaxed atomic load (< 5 ns), or the smoke run fails.
 MEISSA_BENCH_SMOKE=1 cargo bench -q --offline -p meissa-bench
 
+echo "==> e2e benchmark: unit tests + gw3-verdicts correctness gate"
+# The end-to-end benchmark's own tests, then one short run of its
+# gw3-verdicts workload. The run exits 1 on `"correct":false`: it checks
+# the template, rule-coverage and case-count goldens, that a faithful
+# target fails no case, and that a target dropping setValid(vxlan) is
+# caught. Any change to how cases are generated or planned must keep it.
+cargo test -q --release --offline --manifest-path e2e-bench/Cargo.toml
+cargo run -q --release --offline --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
+  run --workload gw3-verdicts --seed 0 --seconds 2
+
 echo "==> stateful bench smoke: firewall unrolling sweep + sequence trace"
 # Runs the stateful unrolling sweep (sequence templates and time vs k on
 # the connection-tracking firewall, writing results/stateful_unroll.txt
