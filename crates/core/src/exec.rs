@@ -138,35 +138,40 @@ impl ExploreBudget {
     }
 }
 
-/// Donation hook a parallel frontier installs on each worker's walker: at a
-/// multi-child node, a worker whose siblings would otherwise be explored
-/// depth-first can hand all but the first child to idle workers, as
-/// `(node, path-prefix, constraint-prefix, value-snapshot)` tasks.
+/// A sibling range: children of one branch node, in successor order. Once
+/// decided ([`Walker::decide_arms`]) it holds only feasible arms, each with
+/// the guard its parent already settled (`None` for markers and
+/// non-predicate nodes, which `visit` handles itself); undecided, every
+/// entry is `None`.
+pub(crate) type Arms = Vec<(NodeId, Option<PreArm>)>;
+
+/// Donation hook a parallel frontier installs on each worker's walker. A
+/// walker whose frontier is hungry hands the back half of an open branch's
+/// unstarted siblings to an idle worker as one range task: `(path-prefix,
+/// constraint-prefix, value-snapshot, arms, decided)`.
 pub(crate) trait WorkSharer: Sync {
-    /// Is anyone idle (or the queue nearly empty)? Donation is gated on
-    /// this so a saturated frontier costs only one atomic load per branch.
+    /// Is anyone idle with nothing queued? Consulted before every sibling
+    /// a walker descends into, so it must cost a couple of atomic loads.
     fn hungry(&self) -> bool;
-    /// Enqueues one task per sibling, snapshotting the donor's current
-    /// prefix. `pool` is the donor's pool — terms must be translated into a
-    /// pool the task owns, since the donor keeps mutating its own.
+    /// Enqueues one range task. `pool` is the donor's pool — prefix terms
+    /// and the arms' conjuncts must be translated into a pool the task
+    /// owns, since the donor keeps mutating its own.
     fn donate(
         &self,
         pool: &TermPool,
         trace: &[NodeId],
         constraints: &[TermId],
-        values: &ValueStack,
-        siblings: &[NodeId],
+        values: &[(meissa_ir::FieldId, TermId)],
+        arms: Arms,
+        decided: bool,
     );
-    /// Deepest constraint prefix still worth donating from. A task pays a
-    /// fixed cost (prefix translation + re-assertion in the receiver's
-    /// solver) that a near-leaf subtree never earns back; the frontier
-    /// adapts this bound to the task costs it actually observes (see
-    /// [`crate::parallel`]). The default never gates — tests exercising
-    /// the donation path on tiny graphs want every branch offered.
-    fn donation_limit(&self) -> usize {
-        usize::MAX
-    }
 }
+
+/// Probes per batch when a [`WorkSharer`] is installed: between chunks a
+/// hungry frontier can take half of a wide branch's unprobed arms. At ~50 µs
+/// per SAT-probed arm (a 1,025-arm table under a ~20-conjunct prefix, on a
+/// 2-core x86 host), an idle worker waits at most a few milliseconds.
+const PROBE_CHUNK: usize = 64;
 
 /// Counters for one execution (the raw numbers behind Figs. 9–12).
 #[derive(Clone, Copy, Debug, Default)]
@@ -269,6 +274,11 @@ pub fn generate_templates(
 
 /// Turns raw valid paths into test case templates, attaching the hash
 /// obligations recorded in `ctx` to the paths that mention them (§4).
+///
+/// Attachment costs one DAG walk per path, not one per (path, obligation)
+/// pair: obligations are indexed by stand-in, and a single epoch-stamped
+/// `seen` table (allocated once, re-armed per path by bumping the epoch)
+/// bounds each walk by the path's own terms.
 pub fn raw_paths_to_templates(
     pool: &TermPool,
     ctx: &SymCtx,
@@ -282,29 +292,57 @@ pub fn raw_paths_to_templates(
         meissa_smt::TermNode::BvVar(v) => pool.var_name(v).to_string(),
         _ => String::new(),
     });
+    let by_out: std::collections::HashMap<TermId, usize> = obligations
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (o.out, i))
+        .collect();
+    let mut seen: Vec<u32> = if obligations.is_empty() {
+        Vec::new()
+    } else {
+        vec![0; pool.len()]
+    };
+    let mut epoch = 0u32;
+    let mut stack: Vec<TermId> = Vec::new();
+    let mut hits: Vec<usize> = Vec::new();
     paths
         .into_iter()
         .enumerate()
         .map(|(id, raw)| {
-            // Attach only obligations whose stand-in appears in this path's
-            // constraints or final values.
-            let used: std::collections::HashSet<TermId> = raw
-                .constraints
-                .iter()
-                .copied()
-                .chain(raw.final_values.iter().map(|&(_, t)| t))
-                .collect();
-            let obs = obligations
-                .iter()
-                .filter(|o| used.contains(&o.out) || term_set_mentions(pool, &used, o.out))
-                .cloned()
-                .collect();
+            // Attach only obligations whose stand-in appears somewhere in
+            // this path's constraints or final values, in name order.
+            hits.clear();
+            if !obligations.is_empty() {
+                epoch += 1;
+                stack.extend(&raw.constraints);
+                stack.extend(raw.final_values.iter().map(|&(_, t)| t));
+                while let Some(t) = stack.pop() {
+                    if std::mem::replace(&mut seen[t.index()], epoch) == epoch {
+                        continue;
+                    }
+                    use meissa_smt::TermNode::*;
+                    match *pool.node(t) {
+                        BvVar(_) => hits.extend(by_out.get(&t)),
+                        BvConst(_) | BoolConst(_) => {}
+                        BvBin(_, a, b)
+                        | BvConcat(a, b)
+                        | Cmp(_, a, b)
+                        | BoolAnd(a, b)
+                        | BoolOr(a, b) => stack.extend([a, b]),
+                        BvNot(a) | BvShl(a, _) | BvShr(a, _) | BvExtract(a, _, _) | BoolNot(a) => {
+                            stack.push(a)
+                        }
+                        BvIte(c, a, b) => stack.extend([c, a, b]),
+                    }
+                }
+                hits.sort_unstable();
+            }
             TestTemplate {
                 id,
                 path: raw.path,
                 constraints: raw.constraints,
                 final_values: raw.final_values,
-                hash_obligations: obs,
+                hash_obligations: hits.iter().map(|&i| obligations[i].clone()).collect(),
             }
         })
         .collect()
@@ -320,39 +358,6 @@ pub(crate) fn flatten_conjuncts(pool: &TermPool, t: TermId, out: &mut Vec<TermId
     } else {
         out.push(t);
     }
-}
-
-/// Does any term in `set` mention `needle` as a subterm?
-fn term_set_mentions(
-    pool: &TermPool,
-    set: &std::collections::HashSet<TermId>,
-    needle: TermId,
-) -> bool {
-    fn mentions(pool: &TermPool, t: TermId, needle: TermId, seen: &mut Vec<bool>) -> bool {
-        if t == needle {
-            return true;
-        }
-        if std::mem::replace(&mut seen[t.index()], true) {
-            return false;
-        }
-        use meissa_smt::TermNode::*;
-        match *pool.node(t) {
-            BvConst(_) | BvVar(_) | BoolConst(_) => false,
-            BvBin(_, a, b) | BvConcat(a, b) | Cmp(_, a, b) | BoolAnd(a, b) | BoolOr(a, b) => {
-                mentions(pool, a, needle, seen) || mentions(pool, b, needle, seen)
-            }
-            BvNot(a) | BvShl(a, _) | BvShr(a, _) | BvExtract(a, _, _) | BoolNot(a) => {
-                mentions(pool, a, needle, seen)
-            }
-            BvIte(c, a, b) => {
-                mentions(pool, c, needle, seen)
-                    || mentions(pool, a, needle, seen)
-                    || mentions(pool, b, needle, seen)
-            }
-        }
-    }
-    let mut seen = vec![false; pool.len()];
-    set.iter().any(|&t| mentions(pool, t, needle, &mut seen))
 }
 
 /// Core DFS shared by whole-program execution and per-pipeline summary
@@ -450,7 +455,8 @@ pub fn explore_in_session(
         cfg,
         session,
         ctx,
-        start,
+        vec![(start, None)],
+        true,
         targets,
         &[],
         base_constraints,
@@ -463,18 +469,22 @@ pub fn explore_in_session(
 }
 
 /// The workhorse behind [`explore_in_session`] and each parallel worker's
-/// subtree task: explores from `start` with an already-established prefix —
-/// `prefix_trace` (path nodes up to but excluding `start`),
+/// task: explores the sibling range `arms` (a single decided `(start,
+/// None)` for a whole exploration) with an already-established prefix —
+/// `prefix_trace` (path nodes up to but excluding the arms),
 /// `prefix_constraints` (asserted into one solver frame, **without**
 /// re-checking: the donor already validated them), and `initial_values`
-/// (the value stack at `start`). Budget state is shared through `budget`;
-/// `sharer`, when present, may be offered sibling subtrees at branch nodes.
+/// (the value stack at the arms). A `decided` range carries its parent's
+/// verdicts and is never probed again; an undecided one is decided here,
+/// in one batch. Budget state is shared through `budget`; `sharer`, when
+/// present, may be handed part of any open sibling range.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_task(
     cfg: &Cfg,
     session: &mut SolveSession,
     ctx: &mut SymCtx,
-    start: NodeId,
+    arms: Arms,
+    decided: bool,
     targets: &std::collections::HashSet<NodeId>,
     prefix_trace: &[NodeId],
     prefix_constraints: &[TermId],
@@ -527,12 +537,19 @@ pub(crate) fn explore_task(
         base: base_verdicts.as_deref(),
         key_stack,
         use_cache,
+        frames: Vec::new(),
     };
     let mut v = ValueStack::new();
     for &(f, t) in initial_values {
         v.set(f, t);
     }
-    walker.visit(pool, ctx, solver, &mut v, start, None);
+    let arms = if decided {
+        arms
+    } else {
+        let children: Vec<NodeId> = arms.iter().map(|&(n, _)| n).collect();
+        walker.decide_arms(pool, ctx, solver, &v, &children)
+    };
+    walker.expand(pool, ctx, solver, &mut v, arms);
     solver.pop();
     // Incremental checks are counted by the session's solver (delta since
     // the previous exploration); non-incremental checks were tallied
@@ -571,18 +588,33 @@ struct Walker<'a> {
     /// set.
     key_stack: Vec<u64>,
     use_cache: bool,
+    /// The sibling ranges currently being walked, shallowest first.
+    frames: Vec<Frame>,
 }
 
-/// One sibling arm's guard, translated and probed at the parent's branch
-/// point as part of a batch; the child's `visit` asserts it without
-/// re-translating or re-probing.
-struct PreArm {
-    /// The guard's conjuncts, sorted by structural hash.
-    conjuncts: Vec<TermId>,
+/// One branch node's children while the walker descends into them:
+/// `siblings[next..]` are not started yet, and a hungry frontier may be
+/// handed a tail of them. The lengths and the value-stack mark pin the
+/// prefix at the branch point, which stays intact below it.
+struct Frame {
+    siblings: Arms,
+    next: usize,
+    trace_len: usize,
+    constraints_len: usize,
+    value_mark: usize,
+}
+
+/// A feasible sibling arm's guard, decided at the parent's branch point —
+/// folded to true, or translated and probed SAT as part of a batch; the
+/// child's `visit` asserts it without re-translating or re-probing.
+/// Infeasible arms never get one: the decision prunes them on the spot.
+#[derive(Default)]
+pub(crate) struct PreArm {
+    /// The guard's conjuncts, sorted by structural hash; empty for a guard
+    /// that folded to true (no solver frame).
+    pub(crate) conjuncts: Vec<TermId>,
     /// Structural hashes of `conjuncts`, in the same order.
-    hashes: Vec<u64>,
-    /// The batched probe's verdict for `prefix ++ conjuncts`.
-    unsat: bool,
+    pub(crate) hashes: Vec<u64>,
 }
 
 impl Walker<'_> {
@@ -644,73 +676,201 @@ impl Walker<'_> {
         unsat
     }
 
-    /// Translates the guards of the local sibling `Assume` arms under the
-    /// current value stack and probes them all in one batched solver
-    /// interaction ([`crate::session::probe_arms_cached`] →
-    /// [`meissa_smt::Solver::check_under`]). Returns one optional
-    /// [`PreArm`] per local child; `None` entries (markers, guards answered
-    /// by constant folding, non-predicate nodes, or the non-caching
-    /// baseline configurations) fall back to the per-node logic in `visit`.
-    /// Donated siblings are excluded by construction — their receiving
-    /// worker probes them itself, keeping per-arm accounting identical to a
-    /// sequential run.
-    fn probe_local_arms(
+    /// Decides the guards of a branch node's `Assume` children under the
+    /// current value stack and returns the children left to walk, in
+    /// order. A guard [`SymCtx::eval_const`] settles never reaches the
+    /// pool; one that folds during translation is settled the same way —
+    /// one folded validity check each, under Algorithm 1's accounting. The
+    /// rest are probed in batched solver interactions
+    /// ([`crate::session::probe_arms_cached`] →
+    /// [`meissa_smt::Solver::check_under`]), counted per arm. Arms found
+    /// infeasible are pruned here and never visited. Markers, non-predicate
+    /// nodes, and every child under the non-caching baseline
+    /// configurations get no [`PreArm`] and fall back to the per-node
+    /// logic in `visit`.
+    ///
+    /// Without a sharer the probes go out as one batch. With one, they go
+    /// out [`PROBE_CHUNK`] at a time, and between chunks a hungry frontier
+    /// is handed the back half of the arms not yet probed as an undecided
+    /// range — a wide batch is the longest stretch a walker spends without
+    /// reaching [`Walker::share`], and an idle worker should not wait it out.
+    fn decide_arms(
         &mut self,
         pool: &mut TermPool,
         ctx: &mut SymCtx,
         solver: &mut Solver,
         v: &ValueStack,
-        local: &[NodeId],
-    ) -> Vec<Option<PreArm>> {
+        children: &[NodeId],
+    ) -> Arms {
         if !self.use_cache {
-            return Vec::new();
+            return children.iter().map(|&c| (c, None)).collect();
         }
-        let mut pres: Vec<Option<PreArm>> = Vec::new();
-        pres.resize_with(local.len(), || None);
-        let mut idx = Vec::new();
+        let mut arms: Arms = Vec::new();
+        // Positions in `arms` awaiting a probe, with their guards.
+        let mut pending = Vec::new();
         let mut terms = Vec::new();
-        let mut bundles: Vec<(Vec<TermId>, Vec<u64>)> = Vec::new();
-        for (i, &child) in local.iter().enumerate() {
-            let Stmt::Assume(b) = self.cfg.stmt(child) else {
-                continue;
+        let mut arm_hashes = Vec::new();
+        for &child in children {
+            let b = match self.cfg.stmt(child) {
+                Stmt::Assume(b) if b != &meissa_ir::BExp::True => b,
+                // Structural markers carry no validity question.
+                _ => {
+                    arms.push((child, None));
+                    continue;
+                }
             };
-            if b == &meissa_ir::BExp::True {
-                continue; // structural marker: no validity question
+            let decided = match SymCtx::eval_const(pool, v, b) {
+                Some(k) => Ok(k),
+                None => {
+                    let t = ctx.bexp(pool, &self.cfg.fields, v, b);
+                    pool.as_bool_const(t).ok_or(t)
+                }
+            };
+            match decided {
+                Ok(k) => {
+                    self.stats.smt_checks += 1; // folded validity check
+                    if k {
+                        arms.push((child, Some(PreArm::default())));
+                    } else {
+                        self.stats.pruned += 1;
+                    }
+                }
+                Err(t) => {
+                    let mut conjuncts = Vec::new();
+                    flatten_conjuncts(pool, t, &mut conjuncts);
+                    conjuncts.sort_by_key(|&c| pool.term_hash(c));
+                    let hashes: Vec<u64> = conjuncts.iter().map(|&c| pool.term_hash(c)).collect();
+                    pending.push(arms.len());
+                    terms.push(t);
+                    arm_hashes.push(hashes.clone());
+                    arms.push((child, Some(PreArm { conjuncts, hashes })));
+                }
             }
-            let t = ctx.bexp(pool, &self.cfg.fields, v, b);
-            if pool.as_bool_const(t).is_some() {
-                continue; // constant folding answers it in `visit`
+        }
+        let mut skip = vec![false; arms.len()];
+        let (mut probed, mut end) = (0, pending.len());
+        while probed < end {
+            let hi = match self.sharer {
+                Some(_) => (probed + PROBE_CHUNK).min(end),
+                None => end,
+            };
+            let unsats = crate::session::probe_arms_cached(
+                pool,
+                solver,
+                self.cache,
+                self.base,
+                self.stats,
+                &self.key_stack,
+                &terms[probed..hi],
+                &arm_hashes[probed..hi],
+            );
+            for (&i, unsat) in pending[probed..hi].iter().zip(unsats) {
+                if unsat {
+                    skip[i] = true;
+                    self.stats.pruned += 1;
+                }
             }
-            let mut cs = Vec::new();
-            flatten_conjuncts(pool, t, &mut cs);
-            cs.sort_by_key(|&c| pool.term_hash(c));
-            let hs: Vec<u64> = cs.iter().map(|&c| pool.term_hash(c)).collect();
-            idx.push(i);
-            terms.push(t);
-            bundles.push((cs, hs));
+            probed = hi;
+            if let Some(sh) = self.sharer {
+                if end - probed >= 2 && sh.hungry() {
+                    let cut = end - (end - probed) / 2;
+                    let given = pending[cut..end].iter().map(|&i| {
+                        skip[i] = true;
+                        (arms[i].0, None)
+                    });
+                    sh.donate(
+                        pool,
+                        &self.trace,
+                        &self.all_constraints,
+                        &v.snapshot_at(v.mark()),
+                        given.collect(),
+                        false,
+                    );
+                    end = cut;
+                }
+            }
         }
-        if idx.is_empty() {
-            return pres;
+        // The arms this walker probed count as one batch, however many
+        // chunks they went out in.
+        crate::session::record_batch(self.stats, end);
+        let mut i = 0;
+        arms.retain(|_| {
+            i += 1;
+            !skip[i - 1]
+        });
+        arms
+    }
+
+    /// Walks a decided sibling range in order, as one open [`Frame`].
+    /// Before each sibling it offers work to a hungry frontier
+    /// ([`Walker::share`]), so the range may shrink from the back while it
+    /// is being walked.
+    fn expand(
+        &mut self,
+        pool: &mut TermPool,
+        ctx: &mut SymCtx,
+        solver: &mut Solver,
+        v: &mut ValueStack,
+        siblings: Arms,
+    ) {
+        let fi = self.frames.len();
+        self.frames.push(Frame {
+            siblings,
+            next: 0,
+            trace_len: self.trace.len(),
+            constraints_len: self.all_constraints.len(),
+            value_mark: v.mark(),
+        });
+        loop {
+            self.share(pool, v);
+            let f = &mut self.frames[fi];
+            let Some(slot) = f.siblings.get_mut(f.next) else {
+                break;
+            };
+            let (node, pre) = (slot.0, slot.1.take());
+            f.next += 1;
+            let mark = v.mark();
+            self.visit(pool, ctx, solver, v, node, pre);
+            v.restore(mark);
+            if self.out_of_budget() {
+                break;
+            }
         }
-        let arm_hashes: Vec<Vec<u64>> = bundles.iter().map(|(_, hs)| hs.clone()).collect();
-        let unsats = crate::session::probe_arms_cached(
+        self.frames.pop();
+    }
+
+    /// Work sharing: when the frontier is hungry, hand the back half of the
+    /// *shallowest* open range's unstarted siblings to it as one range task.
+    /// Shallow ranges hold the biggest subtrees, so an idle worker gets a
+    /// chunky task however deep the donor currently is. The task carries
+    /// the range's prefix and every sibling's [`PreArm`], so the receiver
+    /// re-establishes the prefix once and probes nothing again — every arm
+    /// is still decided once and visited once, which is what keeps the
+    /// merged counters equal to a sequential run's.
+    fn share(&mut self, pool: &TermPool, v: &ValueStack) {
+        let Some(sh) = self.sharer else {
+            return;
+        };
+        if !sh.hungry() {
+            return;
+        }
+        let Some(f) = self
+            .frames
+            .iter_mut()
+            .find(|f| f.siblings.len() - f.next >= 2)
+        else {
+            return;
+        };
+        let cut = f.siblings.len() - (f.siblings.len() - f.next) / 2;
+        let arms = f.siblings.split_off(cut);
+        sh.donate(
             pool,
-            solver,
-            self.cache,
-            self.base,
-            self.stats,
-            &self.key_stack,
-            &terms,
-            &arm_hashes,
+            &self.trace[..f.trace_len],
+            &self.all_constraints[..f.constraints_len],
+            &v.snapshot_at(f.value_mark),
+            arms,
+            true,
         );
-        for ((i, (conjuncts, hashes)), unsat) in idx.into_iter().zip(bundles).zip(unsats) {
-            pres[i] = Some(PreArm {
-                conjuncts,
-                hashes,
-                unsat,
-            });
-        }
-        pres
     }
 
     fn visit(
@@ -732,16 +892,12 @@ impl Walker<'_> {
 
         match self.cfg.stmt(node) {
             Stmt::Assume(_) if pre.is_some() => {
-                // The parent's branch expansion already translated and
-                // probed this arm (one batched interaction across all local
-                // siblings, counted per arm exactly like the individual
-                // probes below). An infeasible arm prunes without ever
-                // materializing a solver frame or its guard clauses.
+                // The parent's branch expansion already decided this arm
+                // feasible and counted its check: folded to true (nothing
+                // to assert, no solver frame), or probed SAT in one batched
+                // interaction across all siblings.
                 let arm = pre.unwrap();
-                if arm.unsat {
-                    feasible = false;
-                    self.stats.pruned += 1;
-                } else {
+                if !arm.conjuncts.is_empty() {
                     solver.push();
                     pushed = true;
                     for (c, h) in arm.conjuncts.into_iter().zip(arm.hashes) {
@@ -820,53 +976,15 @@ impl Walker<'_> {
         }
         if feasible {
             let at_target = self.targets.contains(&node);
-            let children = self.cfg.succ(node);
+            let cfg = self.cfg;
+            let children = cfg.succ(node);
             if at_target || children.is_empty() {
                 self.leaf(pool, solver, v);
             } else {
-                let children = children.to_vec();
-                let mut local: &[NodeId] = &children;
-                // Work sharing: when the frontier is hungry, hand all but
-                // the first child off as tasks — each carries this prefix's
-                // trace, constraints, and value snapshot, so the receiving
-                // worker re-establishes it without re-checking (every tree
-                // edge is still explored exactly once, which is what keeps
-                // merged stats equal to a sequential run's).
-                // Only shallow subtrees are worth shipping: a task pays a
-                // fixed cost (prefix translation + re-assertion in the
-                // receiver's solver) that a near-leaf subtree never earns
-                // back, and the busiest donation sites are precisely the
-                // deep ones. Gating on prefix length keeps tasks chunky —
-                // the top few predicate levels of a data plane program fan
-                // out into far more subtrees than there are workers. The
-                // frontier picks the depth bound from the task costs it
-                // observes (see `WorkSharer::donation_limit`).
-                if children.len() > 1 {
-                    if let Some(sh) = self.sharer {
-                        if self.all_constraints.len() <= sh.donation_limit() && sh.hungry() {
-                            sh.donate(
-                                pool,
-                                &self.trace,
-                                &self.all_constraints,
-                                v,
-                                &children[1..],
-                            );
-                            local = &children[..1];
-                        }
-                    }
-                }
-                // Batched branch expansion: translate and probe every local
-                // sibling arm in one solver interaction before descending.
-                let mut pres = self.probe_local_arms(pool, ctx, solver, v, local);
-                for (i, &c) in local.iter().enumerate() {
-                    let mark = v.mark();
-                    let pre = pres.get_mut(i).and_then(Option::take);
-                    self.visit(pool, ctx, solver, v, c, pre);
-                    v.restore(mark);
-                    if self.out_of_budget() {
-                        break;
-                    }
-                }
+                // Batched branch expansion: decide every sibling arm in one
+                // pass before descending.
+                let arms = self.decide_arms(pool, ctx, solver, v, children);
+                self.expand(pool, ctx, solver, v, arms);
             }
         }
 

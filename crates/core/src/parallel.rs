@@ -4,22 +4,29 @@
 //! independent path suffixes explore independently — so the explorer shards
 //! the DFS *tree* across worker threads:
 //!
-//! * A **task** is a subtree: `(node, path-prefix, constraint-prefix,
-//!   value-snapshot)`. Term ids are pool-local, so a task carries its prefix
-//!   terms in a private minipool; the donor translates once
-//!   ([`TermPool::import`]) and the receiving worker translates into its own
-//!   pool before re-establishing the prefix (asserted in one solver frame,
-//!   *without* re-checking — the donor already validated it).
+//! * A **task** is a sibling range: `(path-prefix, constraint-prefix,
+//!   value-snapshot, arms)`, where `arms` are children of one branch node,
+//!   either decided — each feasible arm with the guard its parent already
+//!   settled ([`crate::exec::PreArm`]) — or, when split off a wide batch of
+//!   probes, still undecided. Term ids are pool-local, so a task carries
+//!   its prefix terms and the arms' conjuncts in a private minipool; the
+//!   donor translates once ([`TermPool::import`]) and the receiving worker
+//!   translates into its own pool before re-establishing the prefix
+//!   (asserted in one solver frame, *without* re-checking — the donor
+//!   already validated it). The seed task is the one-arm range `[start]`.
 //! * Each worker owns one [`SolveSession`] (pool + incremental solver +
 //!   counters) that persists across tasks, keeping the solver's
 //!   bit-blasting cache warm. Discovered [`RawPath`]s ship back over an
 //!   [`std::sync::mpsc`] channel, tagged with the worker id so the merge
 //!   step knows which pool their terms live in.
-//! * **Work sharing**: at a multi-child node, a walker whose frontier is
-//!   hungry donates all children but the first ([`WorkSharer::donate`]) and
-//!   recurses only into the head. Every tree edge is explored exactly once,
-//!   by exactly one worker — which is why merged per-worker counters equal a
-//!   sequential run's.
+//! * **Work sharing**: before descending into each sibling, a walker whose
+//!   frontier is hungry donates the back half of the unstarted siblings of
+//!   its *shallowest* open range as one range task
+//!   ([`WorkSharer::donate`]), and between chunks of a wide probe batch it
+//!   donates the back half of the arms not yet probed; the receiver may
+//!   split its range again. Every arm is decided once and every tree edge
+//!   is explored once, by exactly one worker — which is why merged
+//!   per-worker counters equal a sequential run's.
 //! * **Cancellation**: one shared [`ExploreBudget`] (an atomic state cell)
 //!   is polled by every walker; a template-cap or deadline trip observed by
 //!   any worker stops all of them promptly. Drained-but-cancelled tasks
@@ -32,14 +39,16 @@
 //! before translating them into the main pool — so main-pool term ids, and
 //! everything derived from them, are reproducible run to run.
 
-use crate::exec::{explore_task, ExecConfig, ExecStats, ExploreBudget, RawPath, WorkSharer};
+use crate::exec::{
+    explore_task, Arms, ExecConfig, ExecStats, ExploreBudget, PreArm, RawPath, WorkSharer,
+};
 use crate::session::SolveSession;
-use crate::symstate::{HashDef, SymCtx, ValueStack};
+use crate::symstate::{HashDef, SymCtx};
 use meissa_ir::{Cfg, FieldId, NodeId};
 use meissa_smt::{ClauseExchange, TermId, TermNode, TermPool};
 use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -61,17 +70,19 @@ fn clause_exchange(workers: usize) -> Option<Arc<ClauseExchange>> {
     Some(Arc::new(ClauseExchange::new(EXCHANGE_CAPACITY)))
 }
 
-/// One subtree task. Every worker pool is a fork of the main pool, so the
-/// seed task (`pool: None`) carries main-pool ids that are valid verbatim
-/// in every worker. A donated task instead carries its prefix terms in a
-/// small private minipool — built *once* per donation, [`Arc`]-shared by
-/// all sibling tasks — which the receiver imports into its own pool.
+/// One sibling-range task. Every worker pool is a fork of the main pool, so
+/// the seed task (`pool: None`) carries main-pool ids that are valid
+/// verbatim in every worker. A donated task instead carries its prefix
+/// terms and its arms' conjuncts in a small private minipool, which the
+/// receiver imports into its own pool.
 struct Task {
-    node: NodeId,
     trace: Vec<NodeId>,
-    pool: Option<Arc<TermPool>>,
+    pool: Option<TermPool>,
     constraints: Vec<TermId>,
     values: Vec<(FieldId, TermId)>,
+    arms: Arms,
+    /// Have the arms' guards been decided (see [`Arms`])?
+    decided: bool,
 }
 
 struct FrontierState {
@@ -86,25 +97,14 @@ struct FrontierState {
 }
 
 /// The shared work queue. `idle_hint`/`queue_hint` mirror the mutex-guarded
-/// state so [`WorkSharer::hungry`] — consulted at every branch node — costs
-/// two relaxed atomic loads, not a lock.
+/// state so [`WorkSharer::hungry`] — consulted before every sibling a walker
+/// descends into — costs two relaxed atomic loads, not a lock.
 struct Frontier {
     state: Mutex<FrontierState>,
     available: Condvar,
     idle_hint: AtomicUsize,
     queue_hint: AtomicUsize,
-    /// EWMA of observed task durations in nanoseconds (0 = no sample yet).
-    /// Feeds [`Frontier::donation_limit`]: the donation depth gate adapts
-    /// to how chunky tasks actually are instead of assuming one size.
-    task_ns_ewma: AtomicU64,
-    /// Current donation depth bound derived from the EWMA (see
-    /// [`WorkSharer::donation_limit`]).
-    donate_depth: AtomicUsize,
 }
-
-/// The static donation depth bound before any task has been timed — the
-/// value the gate used when it was a compile-time constant.
-const DONATE_DEPTH_DEFAULT: usize = 6;
 
 impl Frontier {
     fn new(initial: Task) -> Self {
@@ -120,8 +120,6 @@ impl Frontier {
             available: Condvar::new(),
             idle_hint: AtomicUsize::new(0),
             queue_hint: AtomicUsize::new(1),
-            task_ns_ewma: AtomicU64::new(0),
-            donate_depth: AtomicUsize::new(DONATE_DEPTH_DEFAULT),
         }
     }
 
@@ -144,29 +142,8 @@ impl Frontier {
         }
     }
 
-    /// Marks one popped task finished; the last finish ends the run. The
-    /// task's duration feeds the EWMA behind the adaptive donation gate:
-    /// when tasks run tiny, donation retreats toward the root so each
-    /// shipped subtree is chunky enough to earn back its fixed cost
-    /// (minipool snapshot + prefix re-assertion); when tasks run long,
-    /// deeper donation splits them finer so idle workers find food.
-    fn finish_task(&self, dur: std::time::Duration) {
-        let dur_ns = dur.as_nanos().min(u64::MAX as u128) as u64;
-        let old = self.task_ns_ewma.load(Ordering::Relaxed);
-        let ewma = if old == 0 {
-            dur_ns.max(1)
-        } else {
-            (old.saturating_mul(3).saturating_add(dur_ns)) / 4
-        };
-        self.task_ns_ewma.store(ewma, Ordering::Relaxed);
-        let depth = match ewma {
-            0..=100_000 => 2,            // ≤ 0.1 ms: only root-adjacent subtrees pay off
-            100_001..=500_000 => 4,      // ≤ 0.5 ms
-            500_001..=2_000_000 => DONATE_DEPTH_DEFAULT, // ≤ 2 ms: the old static regime
-            2_000_001..=10_000_000 => 9, // ≤ 10 ms
-            _ => 12,                     // chunky tasks: split them fine
-        };
-        self.donate_depth.store(depth, Ordering::Relaxed);
+    /// Marks one popped task finished; the last finish ends the run.
+    fn finish_task(&self) {
         let mut st = self.state.lock().unwrap();
         st.pending -= 1;
         if st.pending == 0 {
@@ -191,48 +168,69 @@ impl WorkSharer for Frontier {
         pool: &TermPool,
         trace: &[NodeId],
         constraints: &[TermId],
-        values: &ValueStack,
-        siblings: &[NodeId],
+        values: &[(FieldId, TermId)],
+        arms: Arms,
+        decided: bool,
     ) {
-        // Snapshot the (shallow, donation is depth-gated) prefix into one
-        // small minipool, Arc-shared by all sibling tasks. Importing a
-        // handful of prefix terms is far cheaper than cloning the donor's
-        // whole pool, which grows without bound over the tasks it runs.
+        // Snapshot the prefix and the arms' conjuncts into one small
+        // minipool. Importing a handful of terms is far cheaper than cloning
+        // the donor's whole pool, which grows without bound over the tasks
+        // it runs.
         let mut mini = TermPool::new();
         let mut cache = HashMap::new();
-        let cs: Vec<TermId> = constraints
+        let constraints = constraints
             .iter()
             .map(|&c| mini.import(pool, c, &mut cache))
             .collect();
-        let mut vals: Vec<(FieldId, TermId)> = values
+        let values = values
             .iter()
-            .map(|(f, t)| (f, mini.import(pool, t, &mut cache)))
+            .map(|&(f, t)| (f, mini.import(pool, t, &mut cache)))
             .collect();
-        vals.sort_by_key(|&(f, _)| f);
-        let snap = Arc::new(mini);
-        let mut st = self.state.lock().unwrap();
-        for &sib in siblings {
-            st.tasks.push_back(Task {
-                node: sib,
-                trace: trace.to_vec(),
-                pool: Some(snap.clone()),
-                constraints: cs.clone(),
-                values: vals.clone(),
-            });
-            st.pending += 1;
-        }
-        self.queue_hint.store(st.tasks.len(), Ordering::Relaxed);
-        drop(st);
-        self.available.notify_all();
+        let arms: Arms = arms
+            .into_iter()
+            .map(|(node, pre)| {
+                (
+                    node,
+                    pre.map(|a| import_arm(&mut mini, pool, a, &mut cache)),
+                )
+            })
+            .collect();
         obs::event(
             "worker.donate",
-            &[("siblings", siblings.len() as u64), ("depth", trace.len() as u64)],
+            &[
+                ("arms", arms.len() as u64),
+                ("depth", trace.len() as u64),
+                ("decided", decided as u64),
+            ],
         );
+        let mut st = self.state.lock().unwrap();
+        st.tasks.push_back(Task {
+            trace: trace.to_vec(),
+            pool: Some(mini),
+            constraints,
+            values,
+            arms,
+            decided,
+        });
+        st.pending += 1;
+        self.queue_hint.store(st.tasks.len(), Ordering::Relaxed);
+        drop(st);
+        self.available.notify_one();
     }
+}
 
-    fn donation_limit(&self) -> usize {
-        self.donate_depth.load(Ordering::Relaxed)
+/// Translates an arm's conjuncts from `src` into `dst`. Structural hashes
+/// and verdicts are pool-independent and travel verbatim.
+fn import_arm(
+    dst: &mut TermPool,
+    src: &TermPool,
+    mut arm: PreArm,
+    cache: &mut HashMap<TermId, TermId>,
+) -> PreArm {
+    for c in &mut arm.conjuncts {
+        *c = dst.import(src, *c, cache);
     }
+    arm
 }
 
 /// Sequential DFS emission order, reconstructed from path node sequences:
@@ -278,8 +276,6 @@ fn possible_path_estimate(cfg: &Cfg, start: NodeId, limit: u64) -> u64 {
 struct WorkerOutput {
     session: SolveSession,
     ctx: SymCtx,
-    busy: std::time::Duration,
-    tasks: usize,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -332,37 +328,45 @@ fn worker_loop(
         if session.solver.stats.checks >= WORKER_RESET_CHECKS {
             session.reset_solver();
         }
-        // Resolve the task's prefix in this worker's pool. Seed-task ids
-        // are below the fork point and valid verbatim; a donated task's
-        // terms import from its minipool snapshot (cache per task:
-        // snapshots are distinct objects).
-        let (cs, vals): (Vec<TermId>, Vec<(FieldId, TermId)>) = match &task.pool {
-            None => (task.constraints.clone(), task.values.clone()),
-            Some(mini) => {
-                // Minipool ids are private to the snapshot — full import.
-                let mut cache = HashMap::new();
-                let cs = task
-                    .constraints
-                    .iter()
-                    .map(|&c| session.pool.import(mini, c, &mut cache))
-                    .collect();
-                let vals = task
-                    .values
-                    .iter()
-                    .map(|&(f, t)| (f, session.pool.import(mini, t, &mut cache)))
-                    .collect();
-                (cs, vals)
+        // Resolve the task in this worker's pool. Seed-task ids are below
+        // the fork point and valid verbatim; a donated task's terms import
+        // from its minipool snapshot.
+        let Task {
+            trace,
+            pool,
+            mut constraints,
+            mut values,
+            mut arms,
+            decided,
+        } = task;
+        if let Some(mini) = pool {
+            let mut cache = HashMap::new();
+            for c in &mut constraints {
+                *c = session.pool.import(&mini, *c, &mut cache);
             }
-        };
+            for (_, t) in &mut values {
+                *t = session.pool.import(&mini, *t, &mut cache);
+            }
+            arms = arms
+                .into_iter()
+                .map(|(node, pre)| {
+                    (
+                        node,
+                        pre.map(|a| import_arm(&mut session.pool, &mini, a, &mut cache)),
+                    )
+                })
+                .collect();
+        }
         explore_task(
             cfg,
             &mut session,
             &mut ctx,
-            task.node,
+            arms,
+            decided,
             targets,
-            &task.trace,
-            &cs,
-            &vals,
+            &trace,
+            &constraints,
+            &values,
             config,
             budget,
             Some(frontier),
@@ -372,9 +376,8 @@ fn worker_loop(
                 let _ = tx.send((wid, p));
             },
         );
-        let dur = t_task.elapsed();
-        frontier.finish_task(dur);
-        busy += dur;
+        frontier.finish_task();
+        busy += t_task.elapsed();
     }
     // Last export: the clauses this worker learned after its final retire
     // boundary are still useful to stragglers.
@@ -385,12 +388,7 @@ fn worker_loop(
     span.field("steal_wait_us", steal_wait.as_micros() as u64);
     span.field("wall_us", t_worker.elapsed().as_micros() as u64);
     span.field("smt_checks", session.exec.smt_checks);
-    WorkerOutput {
-        session,
-        ctx,
-        busy,
-        tasks,
-    }
+    WorkerOutput { session, ctx }
 }
 
 /// Parallel counterpart of [`crate::exec::explore_multi`]: explores from
@@ -457,11 +455,12 @@ pub(crate) fn explore_parallel(
     let mut vals: Vec<(FieldId, TermId)> = initial_values.to_vec();
     vals.sort_by_key(|&(f, _)| f);
     let frontier = Frontier::new(Task {
-        node: start,
         trace: Vec::new(),
         pool: None,
         constraints: base_constraints.to_vec(),
         values: vals,
+        arms: vec![(start, None)],
+        decided: true,
     });
     let budget = ExploreBudget::new(config, t0);
     let scope: Option<String> = ctx.scope().map(str::to_string);
@@ -499,7 +498,6 @@ pub(crate) fn explore_parallel(
                 .collect();
             (outputs, tagged)
         });
-    let t_explore = t0.elapsed();
 
     // ---- deterministic merge -------------------------------------------
     // Sort the (worker, path) pairs into sequential DFS order *before*
@@ -579,18 +577,6 @@ pub(crate) fn explore_parallel(
     }
     stats.timed_out |= budget.timed_out();
     stats.elapsed = t0.elapsed();
-    if std::env::var_os("MEISSA_PAR_DEBUG").is_some() {
-        let busy: f64 = outputs.iter().map(|o| o.busy.as_secs_f64()).sum();
-        let tasks: usize = outputs.iter().map(|o| o.tasks).sum();
-        eprintln!(
-            "explore_parallel: threads={threads} explore={:.1}ms merge={:.1}ms \
-             worker_busy_sum={:.1}ms tasks={tasks} paths={}",
-            t_explore.as_secs_f64() * 1e3,
-            (t0.elapsed() - t_explore).as_secs_f64() * 1e3,
-            busy * 1e3,
-            merged.len()
-        );
-    }
     (merged, stats)
 }
 

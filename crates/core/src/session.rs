@@ -345,6 +345,7 @@ impl SolveSession {
             })
             .collect();
         let mut exec = ExecStats::default();
+        record_batch(&mut exec, arms.len());
         let verdicts = probe_arms_cached(
             &mut self.pool,
             &mut self.solver,
@@ -406,6 +407,18 @@ impl SolveSession {
     }
 }
 
+/// Counts one branch point whose `arms` sibling arms were probed together
+/// (batches of one are ordinary probes and not counted).
+pub(crate) fn record_batch(exec: &mut ExecStats, arms: usize) {
+    if arms >= 2 {
+        exec.arm_batches += 1;
+        exec.batched_probes += arms as u64;
+        if obs::active() {
+            obs_metrics().arm_batch.record(arms as u64);
+        }
+    }
+}
+
 /// The cache-then-batch probe shared by [`SolveSession::probe_arms`] and the
 /// walker's branch expansion (which holds the session's pool, solver, and
 /// cache as separate borrows). Per arm: one `cache_probes`; a hit answers
@@ -428,13 +441,6 @@ pub(crate) fn probe_arms_cached(
 ) -> Vec<bool> {
     debug_assert_eq!(arms.len(), arm_hashes.len());
     let obs_on = obs::active();
-    if arms.len() >= 2 {
-        exec.arm_batches += 1;
-        exec.batched_probes += arms.len() as u64;
-        if obs_on {
-            obs_metrics().arm_batch.record(arms.len() as u64);
-        }
-    }
     let prefix_lanes = KeyLanes::new().fold(prefix_hashes);
     let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(arms.len());
     let mut miss_terms: Vec<TermId> = Vec::new();

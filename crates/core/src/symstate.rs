@@ -103,6 +103,22 @@ impl ValueStack {
         }
     }
 
+    /// The assigned fields as they stood at checkpoint `mark`, sorted by
+    /// field — the current bindings with the undo log above `mark` replayed
+    /// onto a copy, leaving the stack itself untouched.
+    pub fn snapshot_at(&self, mark: usize) -> Vec<(FieldId, TermId)> {
+        let mut values = self.values.clone();
+        for &(f, prev) in self.undo[mark..].iter().rev() {
+            match prev {
+                Some(t) => values.insert(f, t),
+                None => values.remove(&f),
+            };
+        }
+        let mut out: Vec<(FieldId, TermId)> = values.into_iter().collect();
+        out.sort_by_key(|&(f, _)| f);
+        out
+    }
+
     /// Iterates over currently-assigned fields.
     pub fn iter(&self) -> impl Iterator<Item = (FieldId, TermId)> + '_ {
         self.values.iter().map(|(&f, &t)| (f, t))
@@ -319,6 +335,64 @@ impl SymCtx {
         }
     }
 
+    /// Decides a boolean expression under `V` without touching the pool,
+    /// when it folds to a constant: `Cmp`/`And`/`Or`/`Not` over constants,
+    /// fields bound to constants, and `AExp::Bin` of those (ternary and
+    /// lpm `(f & m) == v` keys). The arithmetic is the pool's own constant
+    /// folding, so `Some(b)` implies [`SymCtx::bexp`] would return
+    /// `BoolConst(b)`. Anything else — a hash, an unbound field, a
+    /// symbolic binding, a width mismatch — answers `None`. No input
+    /// variable or hash stand-in is ever created, so a caller that takes
+    /// `Some` and skips `bexp` skips no side effect.
+    pub fn eval_const(pool: &TermPool, v: &ValueStack, e: &BExp) -> Option<bool> {
+        fn aexp(pool: &TermPool, v: &ValueStack, e: &AExp) -> Option<meissa_num::Bv> {
+            match e {
+                AExp::Field(f) => pool.as_const(v.get(*f)?),
+                AExp::Const(c) => Some(*c),
+                AExp::Bin(op, a, b) => {
+                    let (x, y) = (aexp(pool, v, a)?, aexp(pool, v, b)?);
+                    if x.width() != y.width() {
+                        return None;
+                    }
+                    Some(match op {
+                        AOp::Add => x.add(&y),
+                        AOp::Sub => x.sub(&y),
+                        AOp::And => x.and(&y),
+                        AOp::Or => x.or(&y),
+                        AOp::Xor => x.xor(&y),
+                    })
+                }
+                _ => None,
+            }
+        }
+        match e {
+            BExp::True => Some(true),
+            BExp::False => Some(false),
+            BExp::Cmp(op, a, b) => {
+                let (x, y) = (aexp(pool, v, a)?, aexp(pool, v, b)?);
+                if x.width() != y.width() {
+                    return None;
+                }
+                Some(match op {
+                    CmpOp::Eq => x == y,
+                    CmpOp::Ne => x != y,
+                    CmpOp::Lt => x.ult(&y),
+                    CmpOp::Gt => y.ult(&x),
+                    CmpOp::Le => !y.ult(&x),
+                    CmpOp::Ge => !x.ult(&y),
+                })
+            }
+            BExp::Bin(op, a, b) => {
+                let (x, y) = (Self::eval_const(pool, v, a)?, Self::eval_const(pool, v, b)?);
+                Some(match op {
+                    BOp::And => x && y,
+                    BOp::Or => x || y,
+                })
+            }
+            BExp::Not(a) => Some(!Self::eval_const(pool, v, a)?),
+        }
+    }
+
     /// Translates a boolean expression under `V`.
     pub fn bexp(
         &mut self,
@@ -450,6 +524,119 @@ mod tests {
             let t = ctx.bexp(&mut pool, &fields, &v, &e);
             assert_eq!(pool.as_bool_const(t), Some(expect), "{op:?} {k}");
         }
+    }
+
+    /// A random `width`-bit expression over `fs` (two fields per width),
+    /// mixing constants, fields, arithmetic, and the shapes `eval_const`
+    /// must refuse (hashes, shifts, bitwise not).
+    fn gen_aexp(
+        g: &mut meissa_testkit::prop::G,
+        fs: &[(FieldId, u16)],
+        w: u16,
+        depth: u32,
+    ) -> AExp {
+        let pick = if depth == 0 { g.index(2) } else { g.index(6) };
+        match pick {
+            0 => AExp::Const(Bv::new(w, g.bits(w) & 3)),
+            1 => {
+                let of_width: Vec<FieldId> = fs
+                    .iter()
+                    .filter(|&&(_, fw)| fw == w)
+                    .map(|&(f, _)| f)
+                    .collect();
+                AExp::Field(of_width[g.index(of_width.len())])
+            }
+            2 | 3 => {
+                let op = [AOp::Add, AOp::Sub, AOp::And, AOp::Or, AOp::Xor][g.index(5)];
+                AExp::bin(
+                    op,
+                    gen_aexp(g, fs, w, depth - 1),
+                    gen_aexp(g, fs, w, depth - 1),
+                )
+            }
+            4 => AExp::Not(Box::new(gen_aexp(g, fs, w, depth - 1))),
+            _ => AExp::Hash(HashAlg::Crc16, w, vec![gen_aexp(g, fs, w, depth - 1)]),
+        }
+    }
+
+    fn gen_bexp(g: &mut meissa_testkit::prop::G, fs: &[(FieldId, u16)], depth: u32) -> BExp {
+        let pick = if depth == 0 { g.index(3) } else { g.index(6) };
+        match pick {
+            0 => [BExp::True, BExp::False][g.index(2)].clone(),
+            1 | 2 => {
+                let w = [8, 16][g.index(2)];
+                let op = [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Gt,
+                    CmpOp::Le,
+                    CmpOp::Ge,
+                ][g.index(6)];
+                let d = depth.min(2);
+                BExp::Cmp(op, gen_aexp(g, fs, w, d), gen_aexp(g, fs, w, d))
+            }
+            3 | 4 => {
+                let op = [BOp::And, BOp::Or][g.index(2)];
+                BExp::Bin(
+                    op,
+                    Box::new(gen_bexp(g, fs, depth - 1)),
+                    Box::new(gen_bexp(g, fs, depth - 1)),
+                )
+            }
+            _ => BExp::Not(Box::new(gen_bexp(g, fs, depth - 1))),
+        }
+    }
+
+    #[test]
+    fn eval_const_agrees_with_bexp_without_touching_the_pool() {
+        use meissa_testkit::{prop, prop_assert_eq};
+        let decided = std::cell::Cell::new(0u32);
+        prop::check(512, |g| {
+            let mut fields = FieldTable::new();
+            let fs: Vec<(FieldId, u16)> = (0..4u16)
+                .map(|i| {
+                    let w = if i % 2 == 0 { 8 } else { 16 };
+                    (fields.intern(&format!("f{i}"), w), w)
+                })
+                .collect();
+            let mut pool = TermPool::new();
+            let mut ctx = SymCtx::new(None);
+            let mut v = ValueStack::new();
+            for &(f, w) in &fs {
+                match g.index(4) {
+                    0 => {} // unbound: `bexp` reads it as an input variable
+                    1 => {
+                        // Symbolic binding.
+                        let x = pool.var(&format!("sym{}", f.0), w);
+                        let one = pool.bv_const(Bv::new(w, 1));
+                        let t = pool.add(x, one);
+                        v.set(f, t);
+                    }
+                    _ => {
+                        let c = pool.bv_const(Bv::new(w, g.bits(w) & 3));
+                        v.set(f, c);
+                    }
+                }
+            }
+            let e = gen_bexp(g, &fs, 3);
+            let before = pool.len();
+            let folded = SymCtx::eval_const(&pool, &v, &e);
+            prop_assert_eq!(pool.len(), before, "eval_const grew the pool");
+            let t = ctx.bexp(&mut pool, &fields, &v, &e);
+            if let Some(b) = folded {
+                decided.set(decided.get() + 1);
+                prop_assert_eq!(
+                    pool.as_bool_const(t),
+                    Some(b),
+                    "eval_const said {b} but bexp built {} for {e:?}",
+                    pool.display(t)
+                );
+            }
+            Ok(())
+        });
+        // The property is vacuous unless the fast path fires often.
+        assert!(decided.get() >= 100, "only {} decided cases", decided.get());
     }
 
     #[test]

@@ -40,10 +40,12 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
         })
         .collect();
     let stats = format!(
-        "valid={} before={} after={} checks={} probes={}",
+        "valid={} before={} after={} explored={} pruned={} checks={} probes={}",
         run.stats.valid_paths,
         run.stats.paths_before,
         run.stats.paths_after,
+        run.stats.paths_explored,
+        run.stats.pruned,
         // Probe-level counters are part of the invariant: a probe is issued
         // per arm per path visit regardless of which worker owns the
         // subtree, so `smt_checks`/`cache_probes` must not move with the
@@ -106,6 +108,7 @@ fn workload(name: &str) -> suite::Workload {
         "acl" => suite::acl(4, 7),
         "switch_lite" => suite::switch_lite(3, 9),
         "gw2" => suite::gw::gw(2, suite::gw::GwScale { eips: 4 }),
+        "gw1-wide" => suite::gw::gw(1, suite::gw::GwScale { eips: 256 }),
         other => panic!("unknown workload {other}"),
     }
 }
@@ -127,7 +130,11 @@ fn corpus_summary_engine_is_thread_count_invariant() {
 fn corpus_plain_dfs_is_thread_count_invariant() {
     // code_summary off: the work-stealing DFS itself carries the whole
     // search, so this exercises donation + deterministic merge directly.
-    for name in ["router", "mtag"] {
+    // gw-1 is a single pipeline with two 257-way tables: its wide branches
+    // are split into range tasks, mid-walk and mid-batch, whose arms ship
+    // with their parent's verdicts — and every arm must still be decided
+    // exactly once.
+    for name in ["router", "mtag", "gw1-wide"] {
         assert_thread_invariant(name, |threads| MeissaConfig {
             code_summary: false,
             threads,

@@ -99,6 +99,14 @@ cargo test -q --release --offline --manifest-path e2e-bench/Cargo.toml
 cargo run -q --release --offline --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
   run --workload gw3-verdicts --seed 0 --seconds 2
 
+echo "==> e2e benchmark: gw1-wide-verdicts correctness gate"
+# The same gate on gw-1 with 1024 EIPs: one pipeline, so plain DFS with
+# the work-sharing explorer generates everything. It checks the
+# 2,051-template, 2,048/2,048-rule and 4,102-case goldens and the
+# dropped-setValid(vxlan) fault.
+cargo run -q --release --offline --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
+  run --workload gw1-wide-verdicts --seed 0 --seconds 2
+
 echo "==> stateful bench smoke: firewall unrolling sweep + sequence trace"
 # Runs the stateful unrolling sweep (sequence templates and time vs k on
 # the connection-tracking firewall, writing results/stateful_unroll.txt
@@ -152,6 +160,15 @@ cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
   gw-3 --eips 8 --threads 4 --ledger "$LEDGER_DIR/b.jsonl"
 cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- \
   diff "$LEDGER_DIR/a.jsonl" "$LEDGER_DIR/b.jsonl"
+# Thread invariance on a wide single pipeline: gw-1 with 1024 EIPs at one
+# thread and at two, where range tasks split its 1,025-way branches, must
+# cover the same arms with the same exact counters.
+cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
+  gw-1 --eips 1024 --threads 1 --ledger "$LEDGER_DIR/wide_t1.jsonl"
+cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
+  gw-1 --eips 1024 --threads 2 --ledger "$LEDGER_DIR/wide_t2.jsonl"
+cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- \
+  diff "$LEDGER_DIR/wide_t1.jsonl" "$LEDGER_DIR/wide_t2.jsonl"
 cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
   gw-3 --eips 8 --threads 4 --ledger "$LEDGER_DIR/mut.jsonl" --drop-last-rule eip_lookup
 if out=$(cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- \
