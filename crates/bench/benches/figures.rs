@@ -303,17 +303,17 @@ fn parallel_scaling() {
 }
 
 /// Wire-driver throughput: the gw-3 suite streamed through the loopback
-/// switch agent, swept over framing {json, bin} × connections {1, 4},
-/// transport faults off. Reports replay-phase cases/sec (the elapsed
-/// clock starts after planning — the solver's cost is benched separately)
-/// plus per-case latency percentiles, then runs a 5-second sustained soak
-/// in binary framing with the JSONL trace sink attached so `meissa-trace`
-/// can reconcile the `wire.*` spans. Writes
+/// switch agent, swept over connections {1, 4}, transport faults off.
+/// Reports replay-phase cases/sec (the elapsed clock starts after
+/// planning — the solver's cost is benched separately) plus per-case
+/// latency percentiles, then runs a 5-second sustained soak with the
+/// JSONL trace sink attached so `meissa-trace` can reconcile the
+/// `wire.*` spans. Writes
 /// `results/netdriver_loopback.txt`, `results/trace_netdriver_soak.jsonl`,
 /// and `BENCH_netdriver.json`.
 fn netdriver_loopback() {
     use meissa_dataplane::SwitchTarget;
-    use meissa_netdriver::{Agent, Framing, SoakConfig, WireDriver};
+    use meissa_netdriver::{Agent, SoakConfig, WireDriver};
     use meissa_testkit::json::{Json, ToJson};
 
     let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -323,74 +323,66 @@ fn netdriver_loopback() {
     let mut table = String::from(
         "Wire driver loopback throughput: gw-3 (8 EIPs) through the\n\
          switch-agent daemon on 127.0.0.1, transport faults off, swept\n\
-         over wire framing (JSON vs length-prefixed binary) and client\n\
-         connections. cases/sec covers the replay phase only — planning\n\
-         runs before the clock starts.\n\
+         over client connections. cases/sec covers the replay phase\n\
+         only — planning runs before the clock starts.\n\
          (the live agent also serves Prometheus metrics over its Metrics\n\
          RPC — `meissa_netdriver::fetch_metrics(addr)`, demonstrated by\n\
          examples/remote_switch.rs)\n\n",
     );
     table.push_str(&format!(
-        "{:<8} {:<12} {:>8} {:>10} {:>12} {:>10} {:>10}\n",
-        "framing", "connections", "cases", "wall ms", "cases/sec", "p50 µs", "p99 µs"
+        "{:<12} {:>8} {:>10} {:>12} {:>10} {:>10}\n",
+        "connections", "cases", "wall ms", "cases/sec", "p50 µs", "p99 µs"
     ));
     let mut rows: Vec<Json> = Vec::new();
 
-    for framing in [Framing::Json, Framing::Bin] {
-        for connections in [1usize, 4] {
-            let agent =
-                Agent::spawn(Some(SwitchTarget::new(program)), None).expect("spawn agent");
-            // Best-of-3 on the replay clock, with 10 packets per template
-            // so each run spans a few thousand cases — short loopback runs
-            // are tens of milliseconds and scheduler noise would otherwise
-            // dominate the rate.
-            let mut best: Option<meissa_driver::TestReport> = None;
-            for _ in 0..3 {
-                let mut run = Meissa::new().run(program);
-                let report = WireDriver::new(program, agent.addr())
-                    .with_framing(framing)
-                    .with_connections(connections)
-                    .with_packets_per_template(10)
-                    .run(&mut run)
-                    .expect("wire driver run");
-                assert_eq!(report.failed(), 0, "bench target is faithful: {report}");
-                if best.as_ref().is_none_or(|b| report.elapsed < b.elapsed) {
-                    best = Some(report);
-                }
+    for connections in [1usize, 4] {
+        let agent = Agent::spawn(Some(SwitchTarget::new(program)), None).expect("spawn agent");
+        // Best-of-3 on the replay clock, with 10 packets per template so
+        // each run spans a few thousand cases — short loopback runs are
+        // tens of milliseconds and scheduler noise would otherwise
+        // dominate the rate.
+        let mut best: Option<meissa_driver::TestReport> = None;
+        for _ in 0..3 {
+            let mut run = Meissa::new().run(program);
+            let report = WireDriver::new(program, agent.addr())
+                .with_connections(connections)
+                .with_packets_per_template(10)
+                .run(&mut run)
+                .expect("wire driver run");
+            assert_eq!(report.failed(), 0, "bench target is faithful: {report}");
+            if best.as_ref().is_none_or(|b| report.elapsed < b.elapsed) {
+                best = Some(report);
             }
-            let report = best.unwrap();
-            agent.shutdown();
-
-            let cases = report.cases.len() - report.skipped();
-            let wall_ms = report.elapsed.as_secs_f64() * 1e3;
-            let rate = report.cases_per_sec().unwrap_or(0.0);
-            let p50 = report.latency_p50().unwrap_or_default().as_secs_f64() * 1e6;
-            let p99 = report.latency_p99().unwrap_or_default().as_secs_f64() * 1e6;
-            let label = framing.label();
-            table.push_str(&format!(
-                "{label:<8} {connections:<12} {cases:>8} {wall_ms:>10.1} {rate:>12.0} \
-                 {p50:>10.1} {p99:>10.1}\n"
-            ));
-            rows.push(Json::Obj(vec![
-                ("framing".into(), label.to_json()),
-                ("connections".into(), (connections as u64).to_json()),
-                ("cases".into(), (cases as u64).to_json()),
-                ("wall_ms".into(), wall_ms.to_json()),
-                ("cases_per_sec".into(), rate.to_json()),
-                ("latency_p50_us".into(), p50.to_json()),
-                ("latency_p99_us".into(), p99.to_json()),
-            ]));
         }
+        let report = best.unwrap();
+        agent.shutdown();
+
+        let cases = report.cases.len() - report.skipped();
+        let wall_ms = report.elapsed.as_secs_f64() * 1e3;
+        let rate = report.cases_per_sec().unwrap_or(0.0);
+        let p50 = report.latency_p50().unwrap_or_default().as_secs_f64() * 1e6;
+        let p99 = report.latency_p99().unwrap_or_default().as_secs_f64() * 1e6;
+        table.push_str(&format!(
+            "{connections:<12} {cases:>8} {wall_ms:>10.1} {rate:>12.0} \
+             {p50:>10.1} {p99:>10.1}\n"
+        ));
+        rows.push(Json::Obj(vec![
+            ("connections".into(), (connections as u64).to_json()),
+            ("cases".into(), (cases as u64).to_json()),
+            ("wall_ms".into(), wall_ms.to_json()),
+            ("cases_per_sec".into(), rate.to_json()),
+            ("latency_p50_us".into(), p50.to_json()),
+            ("latency_p99_us".into(), p99.to_json()),
+        ]));
     }
 
-    // Sustained-soak smoke: 5 s of wall-clock replay in binary framing
-    // with the trace sink attached — the `wire.*` spans land in a JSONL
+    // Sustained-soak smoke: 5 s of wall-clock replay with the trace sink
+    // attached — the `wire.*` spans land in a JSONL
     // file that `scripts/ci.sh` reconciles with meissa-trace.
     obs::trace_to(format!("{repo_root}/results/trace_netdriver_soak.jsonl"));
     let agent = Agent::spawn(Some(SwitchTarget::new(program)), None).expect("spawn agent");
     let mut run = Meissa::new().run(program);
     let stats = WireDriver::new(program, agent.addr())
-        .with_framing(Framing::Bin)
         .soak(
             &mut run,
             SoakConfig {
@@ -405,7 +397,7 @@ fn netdriver_loopback() {
     assert_eq!(stats.divergent, 0, "faithful soak diverged: {stats}");
     let soak_rate = stats.cases_per_sec().unwrap_or(0.0);
     table.push_str(&format!(
-        "\nsoak (bin, 1 conn, {:.1} s): {} cases = {soak_rate:.0}/s sustained, \
+        "\nsoak (1 conn, {:.1} s): {} cases = {soak_rate:.0}/s sustained, \
          {} retried, {} divergent\n",
         stats.elapsed.as_secs_f64(),
         stats.cases,
@@ -413,7 +405,6 @@ fn netdriver_loopback() {
         stats.divergent,
     ));
     rows.push(Json::Obj(vec![
-        ("framing".into(), "bin".to_json()),
         ("mode".into(), "soak".to_json()),
         ("connections".into(), 1u64.to_json()),
         ("cases".into(), stats.cases.to_json()),
@@ -436,17 +427,17 @@ fn netdriver_loopback() {
     .expect("write BENCH_netdriver.json");
 }
 
-/// CI throughput guard: the gw-3 suite through the loopback agent in
-/// binary framing at 4 connections must sustain at least 20k cases/sec
-/// (replay phase, best-of-3) — the regression tripwire for the binary
-/// hot-path framing and the pipelined inject/collect stages. The floor
+/// CI throughput guard: the gw-3 suite through the loopback agent at 4
+/// connections must sustain at least 20k cases/sec (replay phase,
+/// best-of-3) — the regression tripwire for the binary data-plane codec
+/// and the pipelined inject/collect stages. The floor
 /// was set from a single-core host (~27k measured); hosts under memory or
 /// CPU pressure can skip via `MEISSA_SKIP_NETDRIVER_GUARD=1`, mirroring
 /// the scaling guard's host gating. Run via
 /// `MEISSA_BENCH_NETDRIVER=1 cargo bench -p meissa-bench`.
 fn netdriver_guard() {
     use meissa_dataplane::SwitchTarget;
-    use meissa_netdriver::{Agent, Framing, WireDriver};
+    use meissa_netdriver::{Agent, WireDriver};
 
     if std::env::var_os("MEISSA_SKIP_NETDRIVER_GUARD").is_some() {
         println!("netdriver guard skipped: MEISSA_SKIP_NETDRIVER_GUARD set");
@@ -462,7 +453,6 @@ fn netdriver_guard() {
         // 10 packets per template stretches the run to a few thousand
         // cases so steady-state throughput dominates scheduler jitter.
         let report = WireDriver::new(program, agent.addr())
-            .with_framing(Framing::Bin)
             .with_connections(4)
             .with_packets_per_template(10)
             .run(&mut run)
@@ -473,10 +463,10 @@ fn netdriver_guard() {
     agent.shutdown();
     assert!(
         best >= FLOOR,
-        "netdriver guard: binary-framing loopback throughput {best:.0} cases/s \
+        "netdriver guard: loopback throughput {best:.0} cases/s \
          below the {FLOOR:.0} floor at 4 connections"
     );
-    println!("netdriver guard OK: {best:.0} cases/s (bin, 4 connections)");
+    println!("netdriver guard OK: {best:.0} cases/s (4 connections)");
 }
 
 /// Median of a small sample set. Overhead comparisons must not hinge on
@@ -859,7 +849,7 @@ fn main() {
     }
     if let Some(mode) = std::env::var_os("MEISSA_BENCH_NETDRIVER") {
         // `=1` (CI) runs the throughput-floor guard; `=full` regenerates
-        // the loopback framing sweep + soak smoke without the rest of the
+        // the loopback connection sweep + soak smoke without the rest of the
         // figure suite.
         if mode == "full" {
             netdriver_loopback();

@@ -246,7 +246,7 @@ fn const_value_on(
 /// projected constant is identical across every group (or absent
 /// everywhere) discriminate nothing; dropping them keeps group guards short
 /// while preserving pairwise exclusivity of groups.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+#[allow(clippy::type_complexity)]
 fn group_entry_paths<'a>(
     cfg: &Cfg,
     pool: &TermPool,
@@ -255,7 +255,6 @@ fn group_entry_paths<'a>(
     exit: meissa_ir::NodeId,
     entry_paths: &'a [RawPath],
     config: &ExecConfig,
-    name: &str,
 ) -> (
     Vec<FieldId>,
     Vec<(Projection, Vec<&'a RawPath>)>,
@@ -282,14 +281,6 @@ fn group_entry_paths<'a>(
     }
     let mut group_list: Vec<(Projection, Vec<&RawPath>)> = groups.into_iter().collect();
     group_list.sort_by(|a, b| a.0.cmp(&b.0)); // determinism
-    if std::env::var_os("MEISSA_SUMMARY_DEBUG").is_some() {
-        eprintln!(
-            "summary[{name}]: {} entry paths, {} groups, read_set {}",
-            entry_paths.len(),
-            group_list.len(),
-            read_set.len()
-        );
-    }
     let discriminating: HashSet<FieldId> = {
         let mut values: HashMap<FieldId, HashSet<meissa_num::Bv>> = HashMap::new();
         let mut presence: HashMap<FieldId, usize> = HashMap::new();
@@ -450,7 +441,7 @@ fn analyze_pipeline<'a>(
         };
     }
     let (read_set, group_list, discriminating) =
-        group_entry_paths(cfg, pool, prog_ctx, entry, exit, entry_paths, config, &name);
+        group_entry_paths(cfg, pool, prog_ctx, entry, exit, entry_paths, config);
     PipelineAnalysis {
         name,
         entry,

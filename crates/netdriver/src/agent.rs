@@ -13,15 +13,13 @@
 //! then drains every further request the last socket read already buffered
 //! ([`FrameReader::buffered_frame`]) — so a pipelined client's burst of N
 //! injects costs one read syscall — and accumulates all N responses into
-//! one output buffer flushed with a single `write`. Each response is
-//! encoded in the framing its request arrived in (binary frames carry an
-//! opcode byte; JSON frames start with `{`), so mixed-framing clients and
-//! old JSON-only peers need no connection-level mode switch.
+//! one output buffer flushed with a single `write`. Data-plane responses
+//! (`Output`, `SeqOutput`) are binary, control responses JSON; a frame the
+//! codec rejects — truncated, an unknown opcode, or a data-plane message
+//! sent as JSON — is answered with `Err` and the connection carries on.
 
 use crate::fault::{FaultGate, TransportFaults};
-use crate::proto::{
-    self, encode, is_binary, Framing, Request, Response, BIN_SINCE_VERSION, PROTO_VERSION,
-};
+use crate::proto::{self, encode_response, Request, Response, PROTO_VERSION};
 use meissa_dataplane::{Packet, SwitchTarget};
 use meissa_ir::ConcreteState;
 use meissa_lang::{compile, parse_program, parse_rules, CompiledProgram};
@@ -61,9 +59,6 @@ struct Shared {
     stop: AtomicBool,
     conn_seq: AtomicU64,
     faults: Option<TransportFaults>,
-    /// The protocol version this agent speaks — [`PROTO_VERSION`] normally,
-    /// `1` for the JSON-only legacy mode used to test version fallback.
-    proto_version: u64,
 }
 
 /// Handle to a running agent: its address, and the accept thread to join
@@ -109,30 +104,11 @@ impl Agent {
         Self::serve(TcpListener::bind("127.0.0.1:0")?, target, faults)
     }
 
-    /// Spawns a **protocol-version-1** agent: JSON framing only, rejecting
-    /// binary frames. Exists so the client's Hello-negotiated fallback
-    /// (binary-preferring client ↔ old agent) is testable.
-    pub fn spawn_json_only(
-        target: Option<SwitchTarget>,
-        faults: Option<TransportFaults>,
-    ) -> io::Result<AgentHandle> {
-        Self::serve_version(TcpListener::bind("127.0.0.1:0")?, target, faults, 1)
-    }
-
     /// Runs an agent on an already-bound listener.
     pub fn serve(
         listener: TcpListener,
         target: Option<SwitchTarget>,
         faults: Option<TransportFaults>,
-    ) -> io::Result<AgentHandle> {
-        Self::serve_version(listener, target, faults, PROTO_VERSION)
-    }
-
-    fn serve_version(
-        listener: TcpListener,
-        target: Option<SwitchTarget>,
-        faults: Option<TransportFaults>,
-        proto_version: u64,
     ) -> io::Result<AgentHandle> {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -147,7 +123,6 @@ impl Agent {
             stop: AtomicBool::new(false),
             conn_seq: AtomicU64::new(0),
             faults,
-            proto_version,
         });
         let accept_shared = shared.clone();
         let accept = std::thread::spawn(move || {
@@ -240,36 +215,16 @@ fn metrics_exposition(stats: &AgentStats, target: Option<&SwitchTarget>) -> Stri
     out
 }
 
-/// One request off the wire, decoded to owned data so the reader's buffer
-/// can be reused for the next frame in the batch.
-enum Parsed {
-    /// A decoded request, plus the framing it arrived in (its response
-    /// answers in kind).
-    Req(Request, Framing),
-    /// Undecodable (or unsupported-framing) frame; answer with `Err`.
-    Bad(String),
-}
-
-fn parse_frame(sh: &Shared, frame: &[u8]) -> Parsed {
-    if is_binary(frame) && sh.proto_version < BIN_SINCE_VERSION {
-        return Parsed::Bad("binary framing not supported (protocol v1)".into());
-    }
-    match proto::decode_request_wire(frame) {
-        Ok(req) => {
-            let framing = if is_binary(frame) {
-                Framing::Bin
-            } else {
-                Framing::Json
-            };
-            Parsed::Req(req, framing)
-        }
-        Err(e) => Parsed::Bad(format!("bad request: {e}")),
-    }
+/// Decodes one request off the wire to owned data, so the reader's buffer
+/// can be reused for the next frame in the batch. An undecodable frame
+/// becomes the message of the `Err` that answers it.
+fn parse_frame(frame: &[u8]) -> Result<Request, String> {
+    proto::decode_request(frame).map_err(|e| format!("bad request: {e}"))
 }
 
 /// Appends a reliable (control-path) response to the batch buffer.
 fn push_reliable(out: &mut Vec<u8>, resp: &Response) -> io::Result<()> {
-    frame_into(out, &encode(resp))
+    frame_into(out, &encode_response(resp))
 }
 
 /// Processes one request, appending its response(s) to `out`. Returns
@@ -277,15 +232,15 @@ fn push_reliable(out: &mut Vec<u8>, resp: &Response) -> io::Result<()> {
 fn dispatch(
     sh: &Shared,
     gate: &mut Option<FaultGate>,
-    parsed: Parsed,
+    parsed: Result<Request, String>,
     out: &mut Vec<u8>,
 ) -> io::Result<bool> {
-    let (req, framing) = match parsed {
-        Parsed::Bad(msg) => {
+    let req = match parsed {
+        Ok(req) => req,
+        Err(msg) => {
             push_reliable(out, &Response::Err { msg })?;
             return Ok(false);
         }
-        Parsed::Req(req, framing) => (req, framing),
     };
     match req {
         Request::Hello { .. } => {
@@ -296,7 +251,7 @@ fn dispatch(
             push_reliable(
                 out,
                 &Response::Hello {
-                    version: sh.proto_version,
+                    version: PROTO_VERSION,
                     loaded,
                     label,
                 },
@@ -355,31 +310,19 @@ fn dispatch(
                 return Ok(false);
             };
             let out_pkt = h.target.inject(&Packet { bytes, id });
-            // Outputs ride the (possibly faulty) data path, in the
-            // framing the inject arrived in. The binary path encodes
+            // Outputs ride the (possibly faulty) data path, encoded
             // straight from the target output — no intermediate
-            // `Response` and no per-field `String` allocations, which
-            // dominate the JSON path's per-case cost.
-            let payload = match framing {
-                Framing::Bin => {
-                    let fields = &h.target.program().cfg.fields;
-                    proto::encode_output_bin(
-                        id,
-                        out_pkt.packet.as_ref().map(|p| p.bytes.as_slice()),
-                        out_pkt.egress_port,
-                        out_pkt
-                            .final_state
-                            .iter()
-                            .map(|(f, bv)| (fields.name(f), bv.width(), bv.val())),
-                    )
-                }
-                Framing::Json => encode(&Response::Output {
-                    id,
-                    packet: out_pkt.packet.as_ref().map(|p| p.bytes.clone()),
-                    port: out_pkt.egress_port,
-                    state: encode_state(h.target.program(), &out_pkt.final_state),
-                }),
-            };
+            // `Response` and no per-field `String` allocations.
+            let fields = &h.target.program().cfg.fields;
+            let payload = proto::encode_output_bin(
+                id,
+                out_pkt.packet.as_ref().map(|p| p.bytes.as_slice()),
+                out_pkt.egress_port,
+                out_pkt
+                    .final_state
+                    .iter()
+                    .map(|(f, bv)| (fields.name(f), bv.width(), bv.val())),
+            );
             let forwarded = out_pkt.packet.is_some();
             let port = out_pkt.egress_port;
             drop(hosted);
@@ -462,7 +405,7 @@ fn dispatch(
             // never reorders packets within it — FIFO within a
             // sequence is the contract.
             let resp = Response::SeqOutput { id, outputs };
-            let payload = proto::encode_response_wire(&resp, framing);
+            let payload = encode_response(&resp);
             match gate.as_mut() {
                 Some(g) => g.send(out, payload)?,
                 None => frame_into(out, &payload)?,
@@ -508,7 +451,7 @@ fn handle_conn(sh: Arc<Shared>, stream: TcpStream) -> io::Result<()> {
         // Block for the first request of a batch; a hangup (or stream
         // error) ends the connection.
         let first = match reader.next_frame() {
-            Ok(f) => parse_frame(&sh, f),
+            Ok(f) => parse_frame(f),
             Err(_) => return Ok(()),
         };
         out.clear();
@@ -518,7 +461,7 @@ fn handle_conn(sh: Arc<Shared>, stream: TcpStream) -> io::Result<()> {
         // all its responses coalesce into the single write below.
         while !stop {
             let parsed = match reader.buffered_frame()? {
-                Some(f) => parse_frame(&sh, f),
+                Some(f) => parse_frame(f),
                 None => break,
             };
             stop = dispatch(&sh, &mut gate, parsed, &mut out)?;

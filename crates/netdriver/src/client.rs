@@ -34,10 +34,7 @@
 //! driver. Verdicts come from the shared transport-agnostic
 //! `driver::Checker`, so wire and in-process reports agree case for case.
 
-use crate::proto::{
-    decode, encode, decode_response_wire, encode_request_wire, Framing, Request, Response,
-    BIN_SINCE_VERSION, PROTO_VERSION,
-};
+use crate::proto::{decode_response, encode_request, Request, Response, PROTO_VERSION};
 use meissa_core::{RunOutput, StatefulRunOutput};
 use meissa_dataplane::{Fault, Packet, SwitchTarget, TargetOutput};
 use meissa_driver::{
@@ -258,14 +255,10 @@ pub struct WireDriver<'p> {
     packets_per_template: usize,
     structural_checks: bool,
     schedule: RetrySchedule,
-    /// Requested data-plane framing; the effective framing is negotiated
-    /// down to JSON when the agent's `Hello` predates binary support.
-    framing: Framing,
 }
 
 impl<'p> WireDriver<'p> {
-    /// A driver for `program` against the agent at `addr`. The data-plane
-    /// framing defaults to [`Framing::from_env`] (`MEISSA_WIRE_FRAMING`).
+    /// A driver for `program` against the agent at `addr`.
     pub fn new(program: &'p CompiledProgram, addr: SocketAddr) -> Self {
         WireDriver {
             program,
@@ -279,7 +272,6 @@ impl<'p> WireDriver<'p> {
                 backoff: Duration::from_millis(25),
                 drain_timeout: Duration::from_millis(500),
             },
-            framing: Framing::from_env(),
         }
     }
 
@@ -298,14 +290,6 @@ impl<'p> WireDriver<'p> {
     /// Disables the structural packet validation (baseline-tester mode).
     pub fn without_structural_checks(mut self) -> Self {
         self.structural_checks = false;
-        self
-    }
-
-    /// Requests a data-plane framing explicitly (overriding the
-    /// environment default). Binary still falls back to JSON against a
-    /// pre-v2 agent.
-    pub fn with_framing(mut self, framing: Framing) -> Self {
-        self.framing = framing;
         self
     }
 
@@ -329,15 +313,21 @@ impl<'p> WireDriver<'p> {
         self
     }
 
-    /// Handshakes and settles the effective framing: the requested one if
-    /// the agent's protocol version understands it, JSON otherwise.
-    fn negotiate(&self) -> io::Result<(String, Framing)> {
+    /// Handshakes and returns the agent's target label. An agent older
+    /// than [`PROTO_VERSION`] cannot decode binary data-plane frames, so
+    /// it is refused rather than driven.
+    fn handshake(&self) -> io::Result<String> {
         let (version, _loaded, label) = hello(self.addr)?;
-        let framing = match self.framing {
-            Framing::Bin if version >= BIN_SINCE_VERSION => Framing::Bin,
-            _ => Framing::Json,
-        };
-        Ok((label, framing))
+        if version < PROTO_VERSION {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "agent at {} speaks protocol v{version}; this client needs v{PROTO_VERSION}",
+                    self.addr
+                ),
+            ));
+        }
+        Ok(label)
     }
 
     /// Runs every template in `run` against the remote agent and checks
@@ -398,7 +388,7 @@ impl<'p> WireDriver<'p> {
             }
         }
 
-        let (label, framing) = self.negotiate()?;
+        let label = self.handshake()?;
         let checker = if self.structural_checks {
             Checker::new(self.program)
         } else {
@@ -423,7 +413,7 @@ impl<'p> WireDriver<'p> {
         // The replay clock starts here: planning and serialization are the
         // solver's cost, and connection setup is one-time — already spent.
         let started = Instant::now();
-        self.drive(conns, &source, &sink, &reference, framing)?;
+        self.drive(conns, &source, &sink, &reference)?;
 
         let mut report = TestReport::new(&label);
         report.cases = sink
@@ -456,7 +446,10 @@ impl<'p> WireDriver<'p> {
                 stream.set_read_timeout(Some(Duration::from_millis(2)))?;
                 let mut writer = stream.try_clone()?;
                 let mut reader = FrameReader::new(stream);
-                write_frame(&mut writer, &encode(&Request::Hello { version: PROTO_VERSION }))?;
+                let hello = Request::Hello {
+                    version: PROTO_VERSION,
+                };
+                write_frame(&mut writer, &encode_request(&hello))?;
                 wait_for_hello(&mut reader)?;
                 Ok((writer, reader))
             })
@@ -471,15 +464,12 @@ impl<'p> WireDriver<'p> {
         source: &Src,
         sink: &Snk,
         reference: &SwitchTarget,
-        framing: Framing,
     ) -> io::Result<()> {
         let window = (TOTAL_WINDOW / conns.len()).max(MIN_WINDOW);
         let outcomes: Vec<io::Result<()>> = std::thread::scope(|s| {
             let handles: Vec<_> = conns
                 .into_iter()
-                .map(|conn| {
-                    s.spawn(move || self.run_conn(conn, source, sink, reference, window, framing))
-                })
+                .map(|conn| s.spawn(move || self.run_conn(conn, source, sink, reference, window)))
                 .collect();
             handles
                 .into_iter()
@@ -502,7 +492,6 @@ impl<'p> WireDriver<'p> {
         sink: &Snk,
         reference: &SwitchTarget,
         window: usize,
-        framing: Framing,
     ) -> io::Result<()> {
         let in_flight = AtomicUsize::new(0);
         // Registration channel: inject → collect, carrying each sent case.
@@ -517,7 +506,7 @@ impl<'p> WireDriver<'p> {
                 let in_flight = &in_flight;
                 move || {
                     inject_stage(
-                        writer, source, reference, in_flight, window, framing, reg_tx, retx_rx,
+                        writer, source, reference, in_flight, window, reg_tx, retx_rx,
                     )
                 }
             });
@@ -576,7 +565,7 @@ impl<'p> WireDriver<'p> {
                 Ok(Some(frame)) => {
                     // A transport-truncated frame fails to decode; drop it —
                     // the retry path recovers the case.
-                    let Ok(resp) = decode_response_wire(frame) else {
+                    let Ok(resp) = decode_response(frame) else {
                         continue;
                     };
                     match resp {
@@ -713,7 +702,7 @@ impl<'p> WireDriver<'p> {
         run_span.field("k", run.k as u64);
         let started = Instant::now();
         let plan = plan_sequence_cases(run);
-        let (label, framing) = self.negotiate()?;
+        let label = self.handshake()?;
 
         let reference = SwitchTarget::new(self.program);
         let checker = if self.structural_checks {
@@ -722,13 +711,7 @@ impl<'p> WireDriver<'p> {
             Checker::without_structural_checks(self.program)
         };
 
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_millis(2)))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = FrameReader::new(stream);
-        write_frame(&mut writer, &encode(&Request::Hello { version: PROTO_VERSION }))?;
-        wait_for_hello(&mut reader)?;
+        let (mut writer, mut reader) = self.connect_all(1)?.remove(0);
 
         let mut report = TestReport::new(&label);
         let mut seq_wire_id = 0u64;
@@ -753,7 +736,6 @@ impl<'p> WireDriver<'p> {
                         &mut reader,
                         &reference,
                         &checker,
-                        framing,
                         seq_wire_id,
                         sequence_id,
                         &wire_ids,
@@ -786,7 +768,6 @@ impl<'p> WireDriver<'p> {
         reader: &mut FrameReader<TcpStream>,
         reference: &SwitchTarget,
         checker: &Checker,
-        framing: Framing,
         seq_wire_id: u64,
         sequence_id: usize,
         wire_ids: &[u64],
@@ -814,7 +795,7 @@ impl<'p> WireDriver<'p> {
             packets: packets.iter().map(|p| (p.id, p.bytes.clone())).collect(),
             init: encode_init(self.program, &case.initial_registers),
         };
-        let payload = encode_request_wire(&req, framing);
+        let payload = encode_request(&req);
         let mut frame = Vec::with_capacity(payload.len() + 4);
         frame_into(&mut frame, &payload)?;
 
@@ -827,7 +808,7 @@ impl<'p> WireDriver<'p> {
         let (outputs, latency) = loop {
             match reader.poll_frame()? {
                 Some(frame) => {
-                    let Ok(resp) = decode_response_wire(frame) else {
+                    let Ok(resp) = decode_response(frame) else {
                         continue;
                     };
                     match resp {
@@ -929,7 +910,7 @@ impl<'p> WireDriver<'p> {
                 "no executable cases to soak",
             ));
         }
-        let (_, framing) = self.negotiate()?;
+        self.handshake()?;
         let nconn = self.connections.max(1);
         let conns = self.connect_all(nconn)?;
 
@@ -949,7 +930,7 @@ impl<'p> WireDriver<'p> {
             bucket_ms: ((cfg.duration.as_millis() as u64) / 10).max(1),
             tally: reference.tally().cloned(),
         };
-        self.drive(conns, &source, &sink, &reference, framing)?;
+        self.drive(conns, &source, &sink, &reference)?;
         let elapsed = started.elapsed();
 
         let agg = sink.agg.into_inner().unwrap();
@@ -1105,14 +1086,12 @@ impl SoakConfig {
 /// fills their expected outputs from the reference, coalesces encoded
 /// frames, and flushes them in batches; services retransmissions from the
 /// collect stage until it hangs up.
-#[allow(clippy::too_many_arguments)]
 fn inject_stage<Src: CaseSource>(
     mut writer: TcpStream,
     source: &Src,
     reference: &SwitchTarget,
     in_flight: &AtomicUsize,
     window: usize,
-    framing: Framing,
     reg_tx: Sender<Pending<WireCase>>,
     retx_rx: Receiver<Vec<u8>>,
 ) -> io::Result<()> {
@@ -1141,13 +1120,10 @@ fn inject_stage<Src: CaseSource>(
                 // already-sent cases, instead of stalling the collect loop
                 // (and the whole window behind it) per response.
                 case.ensure_expected(reference);
-                let payload = encode_request_wire(
-                    &Request::Inject {
-                        id: case.wire_id,
-                        bytes: case.packet.bytes.clone(),
-                    },
-                    framing,
-                );
+                let payload = encode_request(&Request::Inject {
+                    id: case.wire_id,
+                    bytes: case.packet.bytes.clone(),
+                });
                 let mut frame = Vec::with_capacity(payload.len() + 4);
                 frame_into(&mut frame, &payload)?;
                 in_flight.fetch_add(1, Ordering::AcqRel);
@@ -1437,7 +1413,7 @@ fn wait_for_hello<R: io::Read>(reader: &mut FrameReader<R>) -> io::Result<(u64, 
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         if let Some(frame) = reader.poll_frame()? {
-            return match decode::<Response>(frame) {
+            return match decode_response(frame) {
                 Ok(Response::Hello {
                     version,
                     loaded,
@@ -1462,9 +1438,9 @@ fn oneshot(addr: impl ToSocketAddrs, req: &Request) -> io::Result<Response> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = FrameReader::new(stream);
-    write_frame(&mut writer, &encode(req))?;
+    write_frame(&mut writer, &encode_request(req))?;
     let frame = reader.next_frame()?;
-    decode::<Response>(frame).map_err(|e| io::Error::other(format!("bad response: {e}")))
+    decode_response(frame).map_err(|e| io::Error::other(format!("bad response: {e}")))
 }
 
 /// Handshakes with the agent, returning `(version, loaded, label)`.

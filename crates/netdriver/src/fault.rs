@@ -23,7 +23,7 @@ pub struct TransportFaults {
     /// later frame (reordering).
     pub delay_per_mille: u16,
     /// Probability (‰) an `Output` frame's payload is cut in half — still
-    /// well-framed, but no longer parseable JSON.
+    /// well-framed, but the cut binary frame fails to decode.
     pub truncate_per_mille: u16,
 }
 

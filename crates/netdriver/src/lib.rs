@@ -5,7 +5,7 @@
 //! deployment runs it against a physical switch via an on-switch agent:
 //!
 //! - [`agent`] — the switch-agent daemon (also the `meissa-agent` binary):
-//!   hosts a `SwitchTarget` behind a length-framed JSON protocol
+//!   hosts a `SwitchTarget` behind a length-framed protocol
 //!   (`Hello`/`LoadProgram`/`InstallRules`/`Inject`/`Output`/`Stats`/
 //!   `Shutdown`), answering each injected packet with its output, logical
 //!   egress port, and final-state snapshot.
@@ -21,11 +21,11 @@
 //! - [`fault`] — seeded transport faults (drop/duplicate/delay/truncate)
 //!   injected at the framing layer, so the client's robustness machinery
 //!   is itself under test.
-//! - [`proto`] — the frame payload codec: two framings, negotiated via
-//!   `Hello`. Control messages are always JSON; the hot-path data
-//!   messages (`Inject`/`Output` and the sequence pair) use a compact
-//!   fixed-width binary layout when both ends speak protocol v2 and
-//!   [`Framing::Bin`] is requested (`MEISSA_WIRE_FRAMING=bin`).
+//! - [`proto`] — the frame payload codec, one encoder and one decoder per
+//!   direction. Control messages are JSON; the hot-path data messages
+//!   (`Inject`/`Output` and the sequence pair) use a compact fixed-width
+//!   binary layout. The client refuses an agent whose `Hello` reports a
+//!   version older than [`PROTO_VERSION`].
 //!
 //! Everything is `std::net`/`std::thread` only: the workspace stays
 //! hermetic.
@@ -41,4 +41,4 @@ pub use client::{
     WireDriver,
 };
 pub use fault::TransportFaults;
-pub use proto::{Framing, Request, Response, BIN_SINCE_VERSION, PROTO_VERSION};
+pub use proto::{Request, Response, PROTO_VERSION};

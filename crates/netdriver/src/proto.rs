@@ -1,18 +1,16 @@
 //! The agent wire protocol: messages in length-prefixed frames
-//! (`meissa_testkit::wire`), in one of two framings.
+//! (`meissa_testkit::wire`), with one encoding per message kind.
 //!
 //! Control messages (`Hello`/`LoadProgram`/`InstallRules`/`Stats`/
-//! `Metrics`/`Shutdown` and their answers) are always JSON objects whose
-//! `"t"` field names the message type — they are rare, and staying textual
+//! `Metrics`/`Shutdown` and their answers) are JSON objects whose `"t"`
+//! field names the message type — they are rare, and staying textual
 //! keeps them debuggable with `tcpdump`. The **data-plane** messages —
-//! `Inject`/`Output`/`InjectSeq`/`SeqOutput`, the per-case hot path — also
-//! have a compact fixed-width binary encoding ([`Framing::Bin`]) whose
-//! first byte is an opcode in `0x01..=0x04`. A JSON frame always starts
-//! with `{` (0x7b), so the two framings coexist on one connection and each
-//! frame is self-describing: the agent decodes whatever arrives and
-//! answers in the framing the request used. The client opts into binary
-//! per run (`MEISSA_WIRE_FRAMING=bin`) only after `Hello` reports an agent
-//! version that understands it, so old JSON-only agents still interop.
+//! `Inject`/`Output`/`InjectSeq`/`SeqOutput`, the per-case hot path — use
+//! a compact fixed-width binary layout whose first byte is an opcode in
+//! `0x01..=0x04`. A JSON frame always starts with `{` (0x7b), so each
+//! frame is self-describing: the decoders sniff the first byte, and both
+//! kinds share one connection. A client refuses an agent whose `Hello`
+//! reports a version older than [`PROTO_VERSION`].
 //!
 //! Requests flow client → agent; each `Inject` is answered by one `Output`
 //! on the same connection (the agent maps the injected packet's logical
@@ -26,44 +24,9 @@ use meissa_num::Bv;
 use meissa_testkit::json::{tagged, untag, FromJson, Json, JsonError, ToJson};
 use meissa_testkit::wire::{BinReader, BinWriter};
 
-/// Protocol version, exchanged in `Hello`. Version 2 adds the binary
-/// data-plane framing; a version-1 peer is JSON-only.
+/// Protocol version, exchanged in `Hello`. Version 2 carries the
+/// data-plane messages in binary; version 1 carried them as JSON.
 pub const PROTO_VERSION: u64 = 2;
-
-/// The first protocol version that understands [`Framing::Bin`].
-pub const BIN_SINCE_VERSION: u64 = 2;
-
-/// Which encoding the data-plane messages use on the wire. Control
-/// messages are JSON in either mode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Framing {
-    /// Textual JSON frames (the v1 wire format). Default.
-    #[default]
-    Json,
-    /// Fixed-width binary frames for `Inject`/`Output`/`InjectSeq`/
-    /// `SeqOutput`; roughly 5× smaller and an order of magnitude cheaper
-    /// to encode/decode than the JSON equivalents.
-    Bin,
-}
-
-impl Framing {
-    /// The run-wide default: `MEISSA_WIRE_FRAMING=bin` opts into binary,
-    /// anything else (or unset) stays JSON.
-    pub fn from_env() -> Framing {
-        match std::env::var("MEISSA_WIRE_FRAMING") {
-            Ok(v) if v.eq_ignore_ascii_case("bin") => Framing::Bin,
-            _ => Framing::Json,
-        }
-    }
-
-    /// Short label for bench rows and log lines.
-    pub fn label(self) -> &'static str {
-        match self {
-            Framing::Json => "json",
-            Framing::Bin => "bin",
-        }
-    }
-}
 
 /// Binary opcodes. A JSON frame's first byte is `{` (0x7b), far from this
 /// range, so sniffing the first byte classifies every frame.
@@ -72,7 +35,7 @@ const OP_OUTPUT: u8 = 0x02;
 const OP_INJECT_SEQ: u8 = 0x03;
 const OP_SEQ_OUTPUT: u8 = 0x04;
 
-/// True when a frame payload is binary-framed (leading opcode byte).
+/// True when a frame payload is binary (leading data-plane opcode byte).
 pub fn is_binary(payload: &[u8]) -> bool {
     matches!(payload.first(), Some(&(OP_INJECT..=OP_SEQ_OUTPUT)))
 }
@@ -259,350 +222,14 @@ pub fn fault_from_json(v: &Json) -> Result<Fault, JsonError> {
     })
 }
 
-/// Lowercase-hex encoding for packet bytes.
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Decodes a lowercase/uppercase hex string.
-pub fn hex_decode(s: &str) -> Result<Vec<u8>, JsonError> {
-    if s.len() % 2 != 0 {
-        return Err(JsonError::new("hex string has odd length"));
-    }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| JsonError::new("invalid hex digit"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| JsonError::new("invalid hex digit"))?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Ok(out)
-}
-
 fn obj(t: &str, mut rest: Vec<(String, Json)>) -> Json {
     let mut pairs = vec![("t".to_string(), Json::Str(t.into()))];
     pairs.append(&mut rest);
     Json::Obj(pairs)
 }
 
-/// Encodes a `(name, width, value)` final-state snapshot as an array of
-/// triples — shared by `Output` and `SeqOutput`.
-fn state_to_json(state: &[(String, u16, u128)]) -> Json {
-    Json::Arr(
-        state
-            .iter()
-            .map(|(name, w, val)| {
-                Json::Arr(vec![name.to_json(), Json::UInt(*w as u128), Json::UInt(*val)])
-            })
-            .collect(),
-    )
-}
-
-fn state_from_json(v: &Json) -> Result<Vec<(String, u16, u128)>, JsonError> {
-    let mut triples = Vec::new();
-    for item in v.as_arr()? {
-        let row = item.as_arr()?;
-        if row.len() != 3 {
-            return Err(JsonError::new("state row must be a triple"));
-        }
-        triples.push((
-            String::from_json(&row[0])?,
-            u16::from_json(&row[1])?,
-            row[2].as_u128()?,
-        ));
-    }
-    Ok(triples)
-}
-
-/// Encodes an optional packet as hex bytes or `null` — shared by `Output`
-/// and `SeqOutput`.
-fn packet_to_json(packet: &Option<Vec<u8>>) -> Json {
-    match packet {
-        Some(bytes) => Json::Str(hex_encode(bytes)),
-        None => Json::Null,
-    }
-}
-
-fn packet_from_json(v: &Json) -> Result<Option<Vec<u8>>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        Json::Str(s) => Ok(Some(hex_decode(s)?)),
-        _ => Err(JsonError::new("packet: expected hex string or null")),
-    }
-}
-
-fn port_to_json(port: &Option<Bv>) -> Json {
-    match port {
-        Some(bv) => bv.to_json(),
-        None => Json::Null,
-    }
-}
-
-fn port_from_json(v: &Json) -> Result<Option<Bv>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => Ok(Some(Bv::from_json(other)?)),
-    }
-}
-
-impl ToJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Hello { version } => obj("hello", vec![("v".into(), version.to_json())]),
-            Request::LoadProgram {
-                source,
-                rules,
-                fault,
-            } => obj(
-                "load_program",
-                vec![
-                    ("source".into(), source.to_json()),
-                    ("rules".into(), rules.to_json()),
-                    ("fault".into(), fault_to_json(fault)),
-                ],
-            ),
-            Request::InstallRules { rules } => {
-                obj("install_rules", vec![("rules".into(), rules.to_json())])
-            }
-            Request::Inject { id, bytes } => obj(
-                "inject",
-                vec![
-                    ("id".into(), id.to_json()),
-                    ("bytes".into(), Json::Str(hex_encode(bytes))),
-                ],
-            ),
-            Request::InjectSeq { id, packets, init } => obj(
-                "inject_seq",
-                vec![
-                    ("id".into(), id.to_json()),
-                    (
-                        "packets".into(),
-                        Json::Arr(
-                            packets
-                                .iter()
-                                .map(|(pid, bytes)| {
-                                    Json::Obj(vec![
-                                        ("id".into(), pid.to_json()),
-                                        ("bytes".into(), Json::Str(hex_encode(bytes))),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("init".into(), state_to_json(init)),
-                ],
-            ),
-            Request::Stats => obj("stats", vec![]),
-            Request::Metrics => obj("metrics", vec![]),
-            Request::Shutdown => obj("shutdown", vec![]),
-        }
-    }
-}
-
-impl FromJson for Request {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let t = v.field("t")?.as_str()?;
-        Ok(match t {
-            "hello" => Request::Hello {
-                version: u64::from_json(v.field("v")?)?,
-            },
-            "load_program" => Request::LoadProgram {
-                source: String::from_json(v.field("source")?)?,
-                rules: String::from_json(v.field("rules")?)?,
-                fault: fault_from_json(v.field("fault")?)?,
-            },
-            "install_rules" => Request::InstallRules {
-                rules: String::from_json(v.field("rules")?)?,
-            },
-            "inject" => Request::Inject {
-                id: u64::from_json(v.field("id")?)?,
-                bytes: hex_decode(v.field("bytes")?.as_str()?)?,
-            },
-            "inject_seq" => Request::InjectSeq {
-                id: u64::from_json(v.field("id")?)?,
-                packets: {
-                    let mut packets = Vec::new();
-                    for item in v.field("packets")?.as_arr()? {
-                        packets.push((
-                            u64::from_json(item.field("id")?)?,
-                            hex_decode(item.field("bytes")?.as_str()?)?,
-                        ));
-                    }
-                    packets
-                },
-                init: state_from_json(v.field("init")?)?,
-            },
-            "stats" => Request::Stats,
-            "metrics" => Request::Metrics,
-            "shutdown" => Request::Shutdown,
-            other => return Err(JsonError::new(format!("unknown request `{other}`"))),
-        })
-    }
-}
-
-impl ToJson for Response {
-    fn to_json(&self) -> Json {
-        match self {
-            Response::Hello {
-                version,
-                loaded,
-                label,
-            } => obj(
-                "hello",
-                vec![
-                    ("v".into(), version.to_json()),
-                    ("loaded".into(), loaded.to_json()),
-                    ("label".into(), label.to_json()),
-                ],
-            ),
-            Response::Ok => obj("ok", vec![]),
-            Response::Err { msg } => obj("err", vec![("msg".into(), msg.to_json())]),
-            Response::Metrics { text } => obj("metrics", vec![("text".into(), text.to_json())]),
-            Response::Output {
-                id,
-                packet,
-                port,
-                state,
-            } => obj(
-                "output",
-                vec![
-                    ("id".into(), id.to_json()),
-                    ("packet".into(), packet_to_json(packet)),
-                    ("port".into(), port_to_json(port)),
-                    ("state".into(), state_to_json(state)),
-                ],
-            ),
-            Response::SeqOutput { id, outputs } => obj(
-                "seq_output",
-                vec![
-                    ("id".into(), id.to_json()),
-                    (
-                        "outputs".into(),
-                        Json::Arr(
-                            outputs
-                                .iter()
-                                .map(|(pid, packet, port, state)| {
-                                    Json::Obj(vec![
-                                        ("id".into(), pid.to_json()),
-                                        ("packet".into(), packet_to_json(packet)),
-                                        ("port".into(), port_to_json(port)),
-                                        ("state".into(), state_to_json(state)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ],
-            ),
-            Response::Stats {
-                injected,
-                forwarded,
-                dropped,
-                per_port,
-            } => obj(
-                "stats",
-                vec![
-                    ("injected".into(), injected.to_json()),
-                    ("forwarded".into(), forwarded.to_json()),
-                    ("dropped".into(), dropped.to_json()),
-                    (
-                        "per_port".into(),
-                        Json::Arr(
-                            per_port
-                                .iter()
-                                .map(|(port, n)| {
-                                    Json::Arr(vec![Json::UInt(*port), Json::UInt(*n as u128)])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ],
-            ),
-        }
-    }
-}
-
-impl FromJson for Response {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let t = v.field("t")?.as_str()?;
-        Ok(match t {
-            "hello" => Response::Hello {
-                version: u64::from_json(v.field("v")?)?,
-                loaded: v.field("loaded")?.as_bool()?,
-                label: String::from_json(v.field("label")?)?,
-            },
-            "ok" => Response::Ok,
-            "err" => Response::Err {
-                msg: String::from_json(v.field("msg")?)?,
-            },
-            "metrics" => Response::Metrics {
-                text: String::from_json(v.field("text")?)?,
-            },
-            "output" => Response::Output {
-                id: u64::from_json(v.field("id")?)?,
-                packet: packet_from_json(v.field("packet")?)?,
-                port: port_from_json(v.field("port")?)?,
-                state: state_from_json(v.field("state")?)?,
-            },
-            "seq_output" => Response::SeqOutput {
-                id: u64::from_json(v.field("id")?)?,
-                outputs: {
-                    let mut outputs = Vec::new();
-                    for item in v.field("outputs")?.as_arr()? {
-                        outputs.push((
-                            u64::from_json(item.field("id")?)?,
-                            packet_from_json(item.field("packet")?)?,
-                            port_from_json(item.field("port")?)?,
-                            state_from_json(item.field("state")?)?,
-                        ));
-                    }
-                    outputs
-                },
-            },
-            "stats" => Response::Stats {
-                injected: u64::from_json(v.field("injected")?)?,
-                forwarded: u64::from_json(v.field("forwarded")?)?,
-                dropped: u64::from_json(v.field("dropped")?)?,
-                per_port: {
-                    let mut pairs = Vec::new();
-                    for item in v.field("per_port")?.as_arr()? {
-                        let row = item.as_arr()?;
-                        if row.len() != 2 {
-                            return Err(JsonError::new("Stats.per_port row must be a pair"));
-                        }
-                        pairs.push((row[0].as_u128()?, u64::from_json(&row[1])?));
-                    }
-                    pairs
-                },
-            },
-            other => return Err(JsonError::new(format!("unknown response `{other}`"))),
-        })
-    }
-}
-
-/// Encodes a message into frame payload bytes.
-pub fn encode<T: ToJson>(msg: &T) -> Vec<u8> {
-    msg.to_json().to_text().into_bytes()
-}
-
-/// Decodes frame payload bytes into a message. Fails on non-UTF-8, bad
-/// JSON (e.g. a transport-truncated frame), or an unknown message type.
-pub fn decode<T: FromJson>(payload: &[u8]) -> Result<T, JsonError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| JsonError::new("frame payload is not UTF-8"))?;
-    T::from_json(&Json::parse(text)?)
-}
-
 // ---------------------------------------------------------------------------
-// Binary framing for the data-plane messages.
+// Binary layouts of the data-plane messages.
 //
 // Layouts (all integers big-endian, fixed width):
 //   Inject     = 0x01 id:u64 len:u32 bytes[len]
@@ -661,7 +288,7 @@ fn bin_state_rd(r: &mut BinReader) -> std::io::Result<Vec<(String, u16, u128)>> 
     Ok(out)
 }
 
-fn bin_opt_packet(w: &mut BinWriter, packet: &Option<Vec<u8>>) {
+fn bin_opt_packet(w: &mut BinWriter, packet: Option<&[u8]>) {
     match packet {
         Some(bytes) => {
             w.u8(1);
@@ -698,17 +325,19 @@ fn bin_opt_port_rd(r: &mut BinReader) -> std::io::Result<Option<Bv>> {
     }
 }
 
-/// Binary-encodes a data-plane request. `None` for control requests —
-/// those are JSON in every framing.
-fn encode_request_bin(req: &Request) -> Option<Vec<u8>> {
-    let mut w = BinWriter::new();
-    match req {
+/// Encodes a request into frame payload bytes: binary for `Inject` and
+/// `InjectSeq`, a JSON object for every control request.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let json = match req {
         Request::Inject { id, bytes } => {
+            let mut w = BinWriter::new();
             w.u8(OP_INJECT);
             w.u64(*id);
             w.bytes(bytes);
+            return w.finish();
         }
         Request::InjectSeq { id, packets, init } => {
+            let mut w = BinWriter::new();
             w.u8(OP_INJECT_SEQ);
             w.u64(*id);
             w.u32(packets.len() as u32);
@@ -717,17 +346,36 @@ fn encode_request_bin(req: &Request) -> Option<Vec<u8>> {
                 w.bytes(bytes);
             }
             bin_state(&mut w, init);
+            return w.finish();
         }
-        _ => return None,
-    }
-    Some(w.finish())
+        Request::Hello { version } => obj("hello", vec![("v".into(), version.to_json())]),
+        Request::LoadProgram {
+            source,
+            rules,
+            fault,
+        } => obj(
+            "load_program",
+            vec![
+                ("source".into(), source.to_json()),
+                ("rules".into(), rules.to_json()),
+                ("fault".into(), fault_to_json(fault)),
+            ],
+        ),
+        Request::InstallRules { rules } => {
+            obj("install_rules", vec![("rules".into(), rules.to_json())])
+        }
+        Request::Stats => obj("stats", vec![]),
+        Request::Metrics => obj("metrics", vec![]),
+        Request::Shutdown => obj("shutdown", vec![]),
+    };
+    json.to_text().into_bytes()
 }
 
-/// Binary-encodes an `Output` response directly from borrowed parts — the
+/// Encodes an `Output` response directly from borrowed parts — the
 /// agent's hot path, skipping the intermediate [`Response`] and its
 /// per-field `String` allocations. Byte-identical to
-/// `encode_response_wire(&Response::Output {..}, Framing::Bin)` of the
-/// equivalent message (state entries are name-sorted either way).
+/// [`encode_response`] of the equivalent `Response::Output` with its
+/// state entries sorted by name.
 pub fn encode_output_bin<'a>(
     id: u64,
     packet: Option<&[u8]>,
@@ -739,13 +387,7 @@ pub fn encode_output_bin<'a>(
     let mut w = BinWriter::new();
     w.u8(OP_OUTPUT);
     w.u64(id);
-    match packet {
-        Some(bytes) => {
-            w.u8(1);
-            w.bytes(bytes);
-        }
-        None => w.u8(0),
-    }
+    bin_opt_packet(&mut w, packet);
     bin_opt_port(&mut w, &port);
     w.u32(entries.len() as u32);
     for (name, width, val) in entries {
@@ -755,40 +397,95 @@ pub fn encode_output_bin<'a>(
     w.finish()
 }
 
-/// Binary-encodes a data-plane response. `None` for control responses.
-fn encode_response_bin(resp: &Response) -> Option<Vec<u8>> {
-    let mut w = BinWriter::new();
-    match resp {
+/// Encodes a response into frame payload bytes: binary for `Output` and
+/// `SeqOutput`, a JSON object for every control response.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let json = match resp {
         Response::Output {
             id,
             packet,
             port,
             state,
         } => {
+            let mut w = BinWriter::new();
             w.u8(OP_OUTPUT);
             w.u64(*id);
-            bin_opt_packet(&mut w, packet);
+            bin_opt_packet(&mut w, packet.as_deref());
             bin_opt_port(&mut w, port);
             bin_state(&mut w, state);
+            return w.finish();
         }
         Response::SeqOutput { id, outputs } => {
+            let mut w = BinWriter::new();
             w.u8(OP_SEQ_OUTPUT);
             w.u64(*id);
             w.u32(outputs.len() as u32);
             for (pid, packet, port, state) in outputs {
                 w.u64(*pid);
-                bin_opt_packet(&mut w, packet);
+                bin_opt_packet(&mut w, packet.as_deref());
                 bin_opt_port(&mut w, port);
                 bin_state(&mut w, state);
             }
+            return w.finish();
         }
-        _ => return None,
-    }
-    Some(w.finish())
+        Response::Hello {
+            version,
+            loaded,
+            label,
+        } => obj(
+            "hello",
+            vec![
+                ("v".into(), version.to_json()),
+                ("loaded".into(), loaded.to_json()),
+                ("label".into(), label.to_json()),
+            ],
+        ),
+        Response::Ok => obj("ok", vec![]),
+        Response::Err { msg } => obj("err", vec![("msg".into(), msg.to_json())]),
+        Response::Metrics { text } => obj("metrics", vec![("text".into(), text.to_json())]),
+        Response::Stats {
+            injected,
+            forwarded,
+            dropped,
+            per_port,
+        } => obj(
+            "stats",
+            vec![
+                ("injected".into(), injected.to_json()),
+                ("forwarded".into(), forwarded.to_json()),
+                ("dropped".into(), dropped.to_json()),
+                (
+                    "per_port".into(),
+                    Json::Arr(
+                        per_port
+                            .iter()
+                            .map(|(port, n)| {
+                                Json::Arr(vec![Json::UInt(*port), Json::UInt(*n as u128)])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ],
+        ),
+    };
+    json.to_text().into_bytes()
 }
 
 fn bad(e: std::io::Error) -> JsonError {
     JsonError::new(format!("binary frame: {e}"))
+}
+
+/// Parses a control frame's JSON object. A non-binary frame that does not
+/// start with `{` carries an opcode this protocol does not define.
+fn control_json(payload: &[u8]) -> Result<Json, JsonError> {
+    match payload.first() {
+        Some(b'{') => {}
+        Some(op) => return Err(JsonError::new(format!("unknown opcode {op:#04x}"))),
+        None => return Err(JsonError::new("empty frame")),
+    }
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| JsonError::new("frame payload is not UTF-8"))?;
+    Json::parse(text)
 }
 
 fn decode_request_bin(payload: &[u8]) -> Result<Request, JsonError> {
@@ -854,39 +551,72 @@ fn decode_response_bin(payload: &[u8]) -> Result<Response, JsonError> {
     Ok(resp)
 }
 
-/// Encodes a request in the given framing. Control requests are JSON in
-/// every framing; data-plane requests honour the choice.
-pub fn encode_request_wire(req: &Request, framing: Framing) -> Vec<u8> {
-    match framing {
-        Framing::Bin => encode_request_bin(req).unwrap_or_else(|| encode(req)),
-        Framing::Json => encode(req),
-    }
-}
-
-/// Encodes a response in the given framing (JSON for control responses).
-pub fn encode_response_wire(resp: &Response, framing: Framing) -> Vec<u8> {
-    match framing {
-        Framing::Bin => encode_response_bin(resp).unwrap_or_else(|| encode(resp)),
-        Framing::Json => encode(resp),
-    }
-}
-
-/// Decodes a request frame of either framing, sniffing the first byte.
-pub fn decode_request_wire(payload: &[u8]) -> Result<Request, JsonError> {
+/// Decodes a request frame, sniffing its first byte: an opcode selects a
+/// binary data-plane layout, `{` a JSON control message. Fails on a
+/// truncated frame, trailing bytes, an unknown opcode or message type,
+/// and bad JSON — including a data-plane message sent as JSON.
+pub fn decode_request(payload: &[u8]) -> Result<Request, JsonError> {
     if is_binary(payload) {
-        decode_request_bin(payload)
-    } else {
-        decode(payload)
+        return decode_request_bin(payload);
     }
+    let v = control_json(payload)?;
+    Ok(match v.field("t")?.as_str()? {
+        "hello" => Request::Hello {
+            version: u64::from_json(v.field("v")?)?,
+        },
+        "load_program" => Request::LoadProgram {
+            source: String::from_json(v.field("source")?)?,
+            rules: String::from_json(v.field("rules")?)?,
+            fault: fault_from_json(v.field("fault")?)?,
+        },
+        "install_rules" => Request::InstallRules {
+            rules: String::from_json(v.field("rules")?)?,
+        },
+        "stats" => Request::Stats,
+        "metrics" => Request::Metrics,
+        "shutdown" => Request::Shutdown,
+        other => return Err(JsonError::new(format!("unknown request `{other}`"))),
+    })
 }
 
-/// Decodes a response frame of either framing, sniffing the first byte.
-pub fn decode_response_wire(payload: &[u8]) -> Result<Response, JsonError> {
+/// Decodes a response frame, sniffing its first byte like
+/// [`decode_request`].
+pub fn decode_response(payload: &[u8]) -> Result<Response, JsonError> {
     if is_binary(payload) {
-        decode_response_bin(payload)
-    } else {
-        decode(payload)
+        return decode_response_bin(payload);
     }
+    let v = control_json(payload)?;
+    Ok(match v.field("t")?.as_str()? {
+        "hello" => Response::Hello {
+            version: u64::from_json(v.field("v")?)?,
+            loaded: v.field("loaded")?.as_bool()?,
+            label: String::from_json(v.field("label")?)?,
+        },
+        "ok" => Response::Ok,
+        "err" => Response::Err {
+            msg: String::from_json(v.field("msg")?)?,
+        },
+        "metrics" => Response::Metrics {
+            text: String::from_json(v.field("text")?)?,
+        },
+        "stats" => Response::Stats {
+            injected: u64::from_json(v.field("injected")?)?,
+            forwarded: u64::from_json(v.field("forwarded")?)?,
+            dropped: u64::from_json(v.field("dropped")?)?,
+            per_port: {
+                let mut pairs = Vec::new();
+                for item in v.field("per_port")?.as_arr()? {
+                    let row = item.as_arr()?;
+                    if row.len() != 2 {
+                        return Err(JsonError::new("Stats.per_port row must be a pair"));
+                    }
+                    pairs.push((row[0].as_u128()?, u64::from_json(&row[1])?));
+                }
+                pairs
+            },
+        },
+        other => return Err(JsonError::new(format!("unknown response `{other}`"))),
+    })
 }
 
 #[cfg(test)]
@@ -894,11 +624,11 @@ mod tests {
     use super::*;
 
     fn roundtrip_req(r: Request) {
-        assert_eq!(decode::<Request>(&encode(&r)).unwrap(), r);
+        assert_eq!(decode_request(&encode_request(&r)).unwrap(), r);
     }
 
     fn roundtrip_resp(r: Response) {
-        assert_eq!(decode::<Response>(&encode(&r)).unwrap(), r);
+        assert_eq!(decode_response(&encode_response(&r)).unwrap(), r);
     }
 
     #[test]
@@ -1007,21 +737,14 @@ mod tests {
     }
 
     #[test]
-    fn hex_rejects_bad_input() {
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
-        assert_eq!(hex_decode("00ff10").unwrap(), vec![0x00, 0xff, 0x10]);
-    }
-
-    #[test]
-    fn binary_data_messages_roundtrip_and_sniff() {
+    fn data_messages_are_binary_and_sniffable() {
         let req = Request::Inject {
             id: u64::MAX - 3,
             bytes: vec![0x00, 0x7b, 0xff],
         };
-        let enc = encode_request_wire(&req, Framing::Bin);
+        let enc = encode_request(&req);
         assert!(is_binary(&enc));
-        assert_eq!(decode_request_wire(&enc).unwrap(), req);
+        assert_eq!(decode_request(&enc).unwrap(), req);
 
         let resp = Response::Output {
             id: 7,
@@ -1029,12 +752,9 @@ mod tests {
             port: Some(Bv::new(9, 3)),
             state: vec![("meta.drop".into(), 1, 0), ("hdr.ipv4.ttl".into(), 8, 64)],
         };
-        let enc = encode_response_wire(&resp, Framing::Bin);
+        let enc = encode_response(&resp);
         assert!(is_binary(&enc));
-        assert_eq!(decode_response_wire(&enc).unwrap(), resp);
-
-        // Binary is the point: materially smaller than the JSON encoding.
-        assert!(enc.len() < encode(&resp).len() / 2, "binary should be compact");
+        assert_eq!(decode_response(&enc).unwrap(), resp);
 
         // The agent's direct-from-parts encoder sorts its entries by name
         // (as `agent::encode_state` does before building a `Response`), so
@@ -1052,46 +772,20 @@ mod tests {
             [("meta.drop", 1u16, 0u128), ("hdr.ipv4.ttl", 8, 64)]
                 .into_iter(),
         );
-        assert_eq!(direct, encode_response_wire(&sorted, Framing::Bin));
+        assert_eq!(direct, encode_response(&sorted));
     }
 
     #[test]
-    fn binary_seq_messages_roundtrip() {
-        let req = Request::InjectSeq {
-            id: 3,
-            packets: vec![(10, vec![0xde, 0xad]), (11, vec![])],
-            init: vec![("REG:seen-POS:0".into(), 1, 1)],
-        };
-        let enc = encode_request_wire(&req, Framing::Bin);
-        assert_eq!(decode_request_wire(&enc).unwrap(), req);
-
-        let resp = Response::SeqOutput {
-            id: 3,
-            outputs: vec![
-                (
-                    10,
-                    Some(vec![1, 2]),
-                    Some(Bv::new(9, 3)),
-                    vec![("REG:seen-POS:0".into(), 1, 1)],
-                ),
-                (11, None, None, vec![]),
-            ],
-        };
-        let enc = encode_response_wire(&resp, Framing::Bin);
-        assert_eq!(decode_response_wire(&enc).unwrap(), resp);
-    }
-
-    #[test]
-    fn control_messages_stay_json_under_bin_framing() {
+    fn control_messages_stay_json() {
         let req = Request::Hello { version: PROTO_VERSION };
-        let enc = encode_request_wire(&req, Framing::Bin);
+        let enc = encode_request(&req);
         assert!(!is_binary(&enc), "control stays textual");
         assert_eq!(enc.first(), Some(&b'{'));
-        assert_eq!(decode_request_wire(&enc).unwrap(), req);
+        assert_eq!(decode_request(&enc).unwrap(), req);
         let resp = Response::Ok;
-        let enc = encode_response_wire(&resp, Framing::Bin);
+        let enc = encode_response(&resp);
         assert!(!is_binary(&enc));
-        assert_eq!(decode_response_wire(&enc).unwrap(), resp);
+        assert_eq!(decode_response(&enc).unwrap(), resp);
     }
 
     #[test]
@@ -1102,23 +796,16 @@ mod tests {
             port: None,
             state: vec![("f".into(), 8, 255)],
         };
-        let enc = encode_response_wire(&resp, Framing::Bin);
+        let enc = encode_response(&resp);
         for cut in 0..enc.len() {
             assert!(
-                decode_response_wire(&enc[..cut]).is_err() || cut == 0,
+                decode_response(&enc[..cut]).is_err(),
                 "prefix of {cut} bytes must not decode"
             );
         }
         // Trailing garbage is also rejected.
         let mut padded = enc.clone();
         padded.push(0);
-        assert!(decode_response_wire(&padded).is_err());
-    }
-
-    #[test]
-    fn framing_from_env_labels() {
-        assert_eq!(Framing::Json.label(), "json");
-        assert_eq!(Framing::Bin.label(), "bin");
-        assert_eq!(Framing::default(), Framing::Json);
+        assert!(decode_response(&padded).is_err());
     }
 }

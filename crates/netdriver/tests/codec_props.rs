@@ -1,21 +1,22 @@
-//! Property tests for the dual wire framings and end-to-end tests of the
-//! `Hello` framing negotiation: every data-plane message must encode and
-//! decode identically through the JSON and binary codecs, and a
-//! binary-preferring client must interoperate cleanly with a JSON-only
-//! (protocol v1) agent.
+//! Property tests for the binary data-plane codec, the client's refusal
+//! of an agent that predates it, and the sustained-soak path: every
+//! data-plane message must round-trip through its binary layout, every
+//! truncated frame must fail to decode, and a protocol-v1 agent must be
+//! turned away with an error.
 
 use meissa_core::Meissa;
 use meissa_dataplane::{Fault, SwitchTarget};
-use meissa_driver::{TestDriver, Verdict};
 use meissa_lang::{compile, parse_program, parse_rules, CompiledProgram};
 use meissa_netdriver::proto::{
-    decode, decode_request_wire, decode_response_wire, encode_request_wire,
-    encode_response_wire, is_binary, Framing, Request, Response,
+    decode_request, decode_response, encode_request, encode_response, is_binary, Request,
+    Response, PROTO_VERSION,
 };
-use meissa_netdriver::{hello, Agent, SoakConfig, WireDriver};
+use meissa_netdriver::{Agent, SoakConfig, WireDriver};
 use meissa_num::Bv;
 use meissa_testkit::prop::{self, G};
+use meissa_testkit::wire::{write_frame, FrameReader};
 use meissa_testkit::{prop_assert, prop_assert_eq};
+use std::net::TcpListener;
 use std::time::Duration;
 
 fn arb_bytes(g: &mut G) -> Vec<u8> {
@@ -80,58 +81,54 @@ fn arb_response(g: &mut G) -> Response {
     }
 }
 
-/// Every data-plane request round-trips identically through both framings,
-/// and the binary encoding is sniffable as binary.
+/// Every data-plane request round-trips through its binary layout, and
+/// the encoding sniffs as binary.
 #[test]
-fn request_codecs_agree() {
+fn requests_roundtrip_through_binary() {
     prop::check(prop::DEFAULT_CASES, |g| {
         let req = arb_request(g);
-        let json = encode_request_wire(&req, Framing::Json);
-        let bin = encode_request_wire(&req, Framing::Bin);
-        prop_assert!(!is_binary(&json), "JSON framing must not sniff as binary");
-        prop_assert!(is_binary(&bin), "binary framing must sniff as binary");
-        let via_json = decode_request_wire(&json).map_err(|e| e.to_string())?;
-        let via_bin = decode_request_wire(&bin).map_err(|e| e.to_string())?;
-        prop_assert_eq!(&via_json, &req);
-        prop_assert_eq!(&via_bin, &req);
-        // The wire decoder and the plain JSON decoder agree on JSON frames.
-        let plain: Request = decode(&json).map_err(|e| e.to_string())?;
-        prop_assert_eq!(&plain, &req);
+        let bin = encode_request(&req);
+        prop_assert!(is_binary(&bin), "data-plane request must sniff as binary");
+        let back = decode_request(&bin).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&back, &req);
         Ok(())
     });
 }
 
-/// Every data-plane response round-trips identically through both framings.
+/// Every data-plane response round-trips through its binary layout.
 #[test]
-fn response_codecs_agree() {
+fn responses_roundtrip_through_binary() {
     prop::check(prop::DEFAULT_CASES, |g| {
         let resp = arb_response(g);
-        let json = encode_response_wire(&resp, Framing::Json);
-        let bin = encode_response_wire(&resp, Framing::Bin);
-        prop_assert!(is_binary(&bin));
-        let via_json = decode_response_wire(&json).map_err(|e| e.to_string())?;
-        let via_bin = decode_response_wire(&bin).map_err(|e| e.to_string())?;
-        prop_assert_eq!(&via_json, &resp);
-        prop_assert_eq!(&via_bin, &resp);
+        let bin = encode_response(&resp);
+        prop_assert!(is_binary(&bin), "data-plane response must sniff as binary");
+        let back = decode_response(&bin).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&back, &resp);
         Ok(())
     });
 }
 
 /// Truncating a binary frame at any byte must produce a decode error,
-/// never a panic or a silently wrong message.
+/// never a panic or a silently wrong message — for responses (the client
+/// decodes what a lossy data path delivers) and for requests (the agent
+/// decodes whatever a client sends it).
 #[test]
-fn truncated_binary_responses_error_cleanly() {
+fn truncated_binary_frames_error_cleanly() {
     prop::check(prop::DEFAULT_CASES, |g| {
-        let resp = arb_response(g);
-        let bin = encode_response_wire(&resp, Framing::Bin);
-        let cut = g.range(0..bin.len() as u64) as usize;
-        if cut == 0 {
-            return Ok(()); // empty payload is not a binary frame
-        }
-        if let Ok(decoded) = decode_response_wire(&bin[..cut]) {
+        let resp = encode_response(&arb_response(g));
+        let cut = g.range(0..resp.len() as u64) as usize;
+        if let Ok(decoded) = decode_response(&resp[..cut]) {
             prop_assert!(
                 false,
-                "truncated frame decoded to {decoded:?} instead of erroring"
+                "response cut at {cut} decoded to {decoded:?} instead of erroring"
+            );
+        }
+        let req = encode_request(&arb_request(g));
+        let cut = g.range(0..req.len() as u64) as usize;
+        if let Ok(decoded) = decode_request(&req[..cut]) {
+            prop_assert!(
+                false,
+                "request cut at {cut} decoded to {decoded:?} instead of erroring"
             );
         }
         Ok(())
@@ -172,68 +169,38 @@ fn program() -> CompiledProgram {
     compile(&p, &parse_rules(RULES).unwrap()).unwrap()
 }
 
-fn verdicts(report: &meissa_driver::TestReport) -> Vec<(usize, Verdict)> {
-    report
-        .cases
-        .iter()
-        .map(|c| (c.template_id, c.verdict.clone()))
-        .collect()
-}
-
-/// A binary-preferring client against a protocol-v1 (JSON-only) agent:
-/// the `Hello` negotiation must fall back to JSON and the run must produce
-/// the same verdicts as the in-process driver — no errors, no drops.
+/// An agent that predates the binary data plane answers `Hello` with
+/// version 1. The driver must refuse it with an error naming both
+/// versions — not panic, hang, or send frames the agent cannot decode.
 #[test]
-fn binary_client_falls_back_to_json_against_v1_agent() {
+fn protocol_v1_agent_is_refused() {
     let cp = program();
-    let agent = Agent::spawn_json_only(Some(SwitchTarget::new(&cp)), None).unwrap();
-    let (version, loaded, _) = hello(agent.addr()).unwrap();
-    assert_eq!(version, 1, "legacy agent must report protocol v1");
-    assert!(loaded);
-
-    let mut run = Meissa::new().run(&cp);
-    let wire = WireDriver::new(&cp, agent.addr())
-        .with_framing(Framing::Bin)
-        .run(&mut run)
-        .unwrap();
-    agent.shutdown();
-
-    let mut run = Meissa::new().run(&cp);
-    let local = TestDriver::new(&cp).run(&mut run, &SwitchTarget::new(&cp));
-    assert_eq!(verdicts(&wire), verdicts(&local));
-    assert!(!wire.found_bug());
-}
-
-/// The same run under both framings (against a v2 agent) produces
-/// identical verdicts — framing is transport, not semantics. A seeded
-/// fault must be caught identically too.
-#[test]
-fn framings_agree_on_verdicts_faithful_and_faulty() {
-    for fault in [None, Some(Fault::WrongConstant { field: "meta.drop".into(), xor_mask: 1 })] {
-        let cp = program();
-        let target = |f: &Option<Fault>| match f {
-            None => SwitchTarget::new(&cp),
-            Some(f) => SwitchTarget::with_fault(&cp, f.clone()),
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let old_agent = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = FrameReader::new(stream);
+        let hello = decode_request(reader.next_frame().unwrap()).unwrap();
+        assert!(matches!(hello, Request::Hello { .. }), "{hello:?}");
+        let answer = Response::Hello {
+            version: 1,
+            loaded: true,
+            label: "none".into(),
         };
-        let mut reports = Vec::new();
-        for framing in [Framing::Json, Framing::Bin] {
-            let agent = Agent::spawn(Some(target(&fault)), None).unwrap();
-            let mut run = Meissa::new().run(&cp);
-            let report = WireDriver::new(&cp, agent.addr())
-                .with_framing(framing)
-                .with_connections(2)
-                .run(&mut run)
-                .unwrap();
-            agent.shutdown();
-            reports.push(report);
-        }
-        assert_eq!(
-            verdicts(&reports[0]),
-            verdicts(&reports[1]),
-            "framings disagreed (fault: {fault:?})"
-        );
-        assert_eq!(reports[0].found_bug(), fault.is_some());
-    }
+        write_frame(&mut writer, &encode_response(&answer)).unwrap();
+        // The listener drops here: a driver that pressed on regardless
+        // would fail to connect rather than wait.
+    });
+
+    let mut run = Meissa::new().run(&cp);
+    let err = WireDriver::new(&cp, addr).run(&mut run).unwrap_err();
+    old_agent.join().unwrap();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("v1") && msg.contains(&format!("v{PROTO_VERSION}")),
+        "error must name both versions: {msg}"
+    );
 }
 
 /// Soak smoke: a faithful agent replayed for a short wall-clock window —
@@ -246,7 +213,7 @@ fn soak_replays_cleanly_and_metrics_stay_scrapable() {
     let agent = Agent::spawn(Some(SwitchTarget::new(&cp)), None).unwrap();
     for fuzz in [false, true] {
         let mut run = Meissa::new().run(&cp);
-        let driver = WireDriver::new(&cp, agent.addr()).with_framing(Framing::Bin);
+        let driver = WireDriver::new(&cp, agent.addr());
         let cfg = SoakConfig {
             duration: Duration::from_millis(300),
             fuzz,
@@ -308,7 +275,6 @@ fn fuzz_soak_classifies_divergence_on_faulty_agent() {
     for _ in 0..2 {
         let mut run = Meissa::new().run(&cp);
         let stats = WireDriver::new(&cp, agent.addr())
-            .with_framing(Framing::Bin)
             .soak(
                 &mut run,
                 SoakConfig {

@@ -6,9 +6,13 @@ use meissa_core::Meissa;
 use meissa_dataplane::{Fault, SwitchTarget};
 use meissa_driver::{TestDriver, Verdict};
 use meissa_lang::{compile, parse_program, parse_rules, CompiledProgram};
+use meissa_netdriver::proto::{decode_response, encode_request, Request, Response};
 use meissa_netdriver::{
     fetch_stats, hello, install_rules, load_program, Agent, TransportFaults, WireDriver,
+    PROTO_VERSION,
 };
+use meissa_testkit::wire::{write_frame, FrameReader};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const PROGRAM: &str = r#"
@@ -148,7 +152,7 @@ fn transport_faults_cause_no_false_verdicts() {
 fn load_program_and_install_rules_over_the_wire() {
     let agent = Agent::spawn(None, None).unwrap();
     let (version, loaded, _) = hello(agent.addr()).unwrap();
-    assert_eq!(version, meissa_netdriver::PROTO_VERSION);
+    assert_eq!(version, PROTO_VERSION);
     assert!(!loaded);
 
     // A bad program is rejected with a recoverable error.
@@ -176,32 +180,35 @@ fn load_program_and_install_rules_over_the_wire() {
     agent.shutdown();
 }
 
+/// A raw protocol connection to `agent`, handshaken.
+fn raw_conn(agent: &meissa_netdriver::AgentHandle) -> (TcpStream, FrameReader<TcpStream>) {
+    let stream = TcpStream::connect(agent.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+    let hello = Request::Hello {
+        version: PROTO_VERSION,
+    };
+    write_frame(&mut writer, &encode_request(&hello)).unwrap();
+    let _hello = reader.next_frame().unwrap();
+    (writer, reader)
+}
+
 #[test]
 fn metrics_rpc_returns_live_counters_mid_run() {
-    use meissa_netdriver::proto::{decode, encode, Request, Response, PROTO_VERSION};
-    use meissa_testkit::wire::{write_frame, FrameReader};
-    use std::net::TcpStream;
-
     let cp = program();
     let agent = Agent::spawn(Some(SwitchTarget::new(&cp)), None).unwrap();
 
     // Drive injects over a raw protocol connection, scraping metrics
     // between packets while the connection is still live — the agent must
     // answer from its atomics without waiting for the run to end.
-    let stream = TcpStream::connect(agent.addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = FrameReader::new(stream);
-    write_frame(&mut writer, &encode(&Request::Hello { version: PROTO_VERSION })).unwrap();
-    let _hello = reader.next_frame().unwrap();
-
+    let (mut writer, mut reader) = raw_conn(&agent);
     for id in 0..3u64 {
         write_frame(
             &mut writer,
-            &encode(&Request::Inject { id, bytes: vec![0u8; 20] }),
+            &encode_request(&Request::Inject { id, bytes: vec![0u8; 20] }),
         )
         .unwrap();
-        let frame = reader.next_frame().unwrap();
-        match decode::<Response>(&frame).unwrap() {
+        match decode_response(reader.next_frame().unwrap()).unwrap() {
             Response::Output { id: got, .. } => assert_eq!(got, id),
             other => panic!("expected Output, got {other:?}"),
         }
@@ -216,6 +223,45 @@ fn metrics_rpc_returns_live_counters_mid_run() {
     }
     let text = meissa_netdriver::fetch_metrics(agent.addr()).unwrap();
     assert!(text.contains("meissa_agent_injected_total 3"), "{text}");
+    drop(writer);
+    drop(reader);
+    agent.shutdown();
+}
+
+/// The agent decodes client frames across a trust boundary: a data-plane
+/// message sent as JSON and a frame led by an undefined opcode must each
+/// be answered with `Err`, and the same connection must go on serving
+/// binary injects.
+#[test]
+fn agent_answers_bad_frames_with_err_and_keeps_serving() {
+    let cp = program();
+    let agent = Agent::spawn(Some(SwitchTarget::new(&cp)), None).unwrap();
+    let (mut writer, mut reader) = raw_conn(&agent);
+
+    let bad_frames: [(&[u8], &str); 2] = [
+        (
+            br#"{"t":"inject","id":1,"bytes":"00"}"#,
+            "unknown request `inject`",
+        ),
+        (&[0x05, 0, 0, 0, 0, 0, 0, 0, 1], "unknown opcode 0x05"),
+    ];
+    for (frame, want) in bad_frames {
+        write_frame(&mut writer, frame).unwrap();
+        match decode_response(reader.next_frame().unwrap()).unwrap() {
+            Response::Err { msg } => assert!(msg.contains(want), "expected `{want}` in `{msg}`"),
+            other => panic!("expected Err for a bad frame, got {other:?}"),
+        }
+    }
+
+    write_frame(
+        &mut writer,
+        &encode_request(&Request::Inject { id: 2, bytes: vec![0u8; 20] }),
+    )
+    .unwrap();
+    match decode_response(reader.next_frame().unwrap()).unwrap() {
+        Response::Output { id, .. } => assert_eq!(id, 2),
+        other => panic!("expected Output after the bad frames, got {other:?}"),
+    }
     drop(writer);
     drop(reader);
     agent.shutdown();

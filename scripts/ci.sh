@@ -48,17 +48,6 @@ echo "==> loopback smoke test: gw-3 through the wire driver"
 # agreement with the in-process driver.
 cargo test -q --offline -p meissa-suite --test wire_equivalence
 
-echo "==> wire tests again under binary framing: MEISSA_WIRE_FRAMING=bin"
-# The same loopback equivalence run plus the 16-fault seeded matrix and
-# the codec property tests, with the client requesting the compact binary
-# codec at Hello time. Framing is transport, not semantics: every verdict
-# must match the JSON-framed runs bug-for-bug, including under injected
-# transport faults.
-MEISSA_WIRE_FRAMING=bin cargo test -q --offline \
-  -p meissa-suite --test wire_equivalence --test fault_matrix
-MEISSA_WIRE_FRAMING=bin cargo test -q --offline \
-  -p meissa-netdriver --test codec_props
-
 echo "==> netdriver throughput guard: binary loopback floor (host-gated)"
 # Streams the gw-3 (8-EIP) suite through the pipelined wire client with
 # binary framing at 4 connections and fails if the best-of-3 replay-phase
