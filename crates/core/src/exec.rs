@@ -378,7 +378,7 @@ pub fn explore(
     sink: &mut dyn FnMut(RawPath),
 ) -> ExecStats {
     let targets = target.into_iter().collect();
-    explore_multi(
+    explore_in_session(
         cfg,
         session,
         ctx,
@@ -399,45 +399,15 @@ pub fn explore(
 /// emitted (the caller distinguishes them by their last node) — Algorithm
 /// 2's extension needs both continuations toward later pipelines and
 /// program-completing paths.
-/// Starts from a **fresh solver** (`session.reset_solver()`): frames and
-/// learned clauses from a previous top-level exploration would slow unit
-/// propagation more than re-blasting costs. Use [`explore_in_session`] to
-/// keep the session's current solver — and its bit-blasting cache — warm
-/// across related explorations (Algorithm 2's per-group searches and
-/// per-seed extensions).
-#[allow(clippy::too_many_arguments)]
-pub fn explore_multi(
-    cfg: &Cfg,
-    session: &mut SolveSession,
-    ctx: &mut SymCtx,
-    start: NodeId,
-    targets: &std::collections::HashSet<NodeId>,
-    base_constraints: &[TermId],
-    initial_values: &[(meissa_ir::FieldId, TermId)],
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(RawPath),
-) -> ExecStats {
-    session.reset_solver();
-    explore_in_session(
-        cfg,
-        session,
-        ctx,
-        start,
-        targets,
-        base_constraints,
-        initial_values,
-        config,
-        sink,
-    )
-}
-
-/// One exploration pass over the session's **current** solver; see
-/// [`explore_multi`] for parameter semantics. Base constraints are installed
+///
+/// Runs on the session's **current** solver. Base constraints are installed
 /// in a solver frame per call, so successive calls with different
-/// pre-conditions reuse everything the solver has already learned (one
-/// shared bit-blasting cache), instead of re-encoding the shared program
-/// terms from scratch each time. Frame isolation keeps verdicts independent
-/// across calls.
+/// pre-conditions reuse everything the solver has already blasted and
+/// learned (one shared bit-blasting cache) instead of re-encoding the
+/// shared program terms from scratch each time. Frame isolation keeps
+/// verdicts independent across calls. Summary batch workers run every
+/// job this way: starting each job on a fresh solver re-blasted its prefix
+/// and arms, ~2.0 s of CPU on gw-4 (32 EIPs, one thread).
 #[allow(clippy::too_many_arguments)]
 pub fn explore_in_session(
     cfg: &Cfg,

@@ -391,7 +391,7 @@ fn worker_loop(
     WorkerOutput { session, ctx }
 }
 
-/// Parallel counterpart of [`crate::exec::explore_multi`]: explores from
+/// Parallel counterpart of [`crate::exec::explore_in_session`]: explores from
 /// `start` across `config.threads` workers and returns the discovered valid
 /// paths — translated into the *main* session's pool, sorted into
 /// sequential DFS order — plus merged per-call statistics. Worker counters
@@ -431,7 +431,7 @@ pub(crate) fn explore_parallel(
     }
     if threads == 1 {
         let mut paths = Vec::new();
-        let stats = crate::exec::explore_multi(
+        let stats = crate::exec::explore_in_session(
             cfg,
             session,
             ctx,
@@ -445,9 +445,6 @@ pub(crate) fn explore_parallel(
         return (paths, stats);
     }
     let t0 = Instant::now();
-    // Parity with `explore_multi`: a top-level exploration starts from a
-    // fresh main solver (the workers bring their own).
-    session.reset_solver();
 
     // Seed task: the caller's prefix ids are main-pool ids, valid verbatim
     // in every forked worker pool — no translation needed.
@@ -673,7 +670,7 @@ pub(crate) fn explore_batch(
                         let job = &jobs[i];
                         let mut ctx = SymCtx::new(job.scope.as_deref());
                         let mut paths = Vec::new();
-                        let stats = crate::exec::explore_multi(
+                        let stats = crate::exec::explore_in_session(
                             cfg,
                             &mut wsession,
                             &mut ctx,

@@ -55,7 +55,7 @@ pub enum Verdict {
 }
 
 /// One solving context: term pool + current incremental solver + cumulative
-/// statistics. All engine-layer entry points ([`crate::exec::explore_multi`],
+/// statistics. All engine-layer entry points ([`crate::exec::explore_in_session`],
 /// [`crate::exec::generate_templates`], [`crate::summary::summarize`]) take
 /// `&mut SolveSession` instead of loose `(pool, solver, stats)` triples.
 pub struct SolveSession {
@@ -277,10 +277,13 @@ impl SolveSession {
     }
 
     /// Replaces the incremental solver with a fresh one, retiring its
-    /// counters into the session totals. Frames and learned clauses from
-    /// thousands of probes would otherwise accumulate and slow unit
-    /// propagation more than re-blasting costs — which is why each
-    /// top-level exploration starts from a fresh solver.
+    /// counters into the session totals. A popped frame only disables its
+    /// clauses, so a solver that never retires keeps growing; the parallel
+    /// DFS workers retire theirs every few hundred checks to bound that.
+    /// Explorations themselves run on the current solver: the SAT engine
+    /// keeps the shared assumption prefix propagated between calls, so
+    /// growth costs little, while re-blasting a fresh solver per summary
+    /// job was most of gw-4's generation time.
     pub fn reset_solver(&mut self) {
         // A retiring solver's learned clauses are about to be dropped —
         // last chance to publish them for siblings.

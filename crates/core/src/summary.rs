@@ -30,6 +30,7 @@ use crate::session::SolveSession;
 use crate::symstate::SymCtx;
 use meissa_ir::{AExp, AOp, BExp, Cfg, CmpOp, FieldId, PipelineId, Stmt};
 use meissa_smt::{TermId, TermNode, TermPool};
+use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -94,10 +95,11 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
     let entry_of: Vec<meissa_ir::NodeId> = order.iter().map(|&p| cfg.pipeline(p).entry).collect();
 
     // One program-scope context across the whole pass so cached paths'
-    // terms stay consistent. Each exploration uses a fresh solver: frames
-    // and learned clauses from thousands of pre-condition probes would
-    // otherwise accumulate and slow propagation more than re-blasting
-    // costs.
+    // terms stay consistent. Explorations run on warm solvers: each batch
+    // worker keeps one across its jobs, because re-blasting every seed's
+    // prefix and arms into a fresh solver was most of gw-4's generation
+    // time, and the SAT engine's reuse of the shared assumption prefix
+    // keeps a growing solver's checks cheap.
     let mut prog_ctx = SymCtx::new(None);
     // Valid paths from the program entry to each pipeline's entry marker.
     let mut cache: HashMap<meissa_ir::NodeId, Vec<RawPath>> = HashMap::new();
@@ -641,6 +643,12 @@ fn pipeline_levels(cfg: &Cfg, order: &[PipelineId]) -> Vec<Vec<usize>> {
 /// Batch results merge in job order, so cache routing, completed-path
 /// order, and main-pool term interning are identical to the sequential
 /// loop's.
+///
+/// Each level emits two child spans of `engine.summary`, so a trace shows
+/// where the summary's time goes: `engine.summary.group` covers Algorithm
+/// 2 proper (analysis, group searches, re-encoding) and
+/// `engine.summary.extend` the seed extensions. Both carry the level, the
+/// batch's job count, and its `smt_checks` and valid paths.
 #[allow(clippy::too_many_arguments)]
 fn summarize_pipelines_batched(
     cfg: &mut Cfg,
@@ -654,7 +662,8 @@ fn summarize_pipelines_batched(
     stats: &mut SummaryStats,
 ) {
     use crate::parallel::{explore_batch, ExploreJob};
-    for level in pipeline_levels(cfg, order) {
+    for (depth, level) in pipeline_levels(cfg, order).into_iter().enumerate() {
+        let mut group_span = obs::span("engine.summary.group");
         // ---- analyze (read-only, parallel across the level) ---------------
         let seeds_by: Vec<(usize, Vec<RawPath>)> = level
             .iter()
@@ -716,7 +725,9 @@ fn summarize_pipelines_batched(
                 });
             }
         }
-        let mut group_results = explore_batch(cfg, session, config, &jobs).into_iter();
+        let group_results = explore_batch(cfg, session, config, &jobs);
+        record_phase(&mut group_span, depth, &group_results);
+        let mut group_results = group_results.into_iter();
         // ---- encode + replace bodies (topo order) -------------------------
         for (idx, _, plan) in &mut entries {
             let plan = plan.take().unwrap();
@@ -724,9 +735,11 @@ fn summarize_pipelines_batched(
             let results: Vec<_> = group_results.by_ref().take(n).collect();
             encode_pipeline(cfg, session, stats, order[*idx], plan, results);
         }
+        drop(group_span);
         if stats.timed_out {
             return;
         }
+        let mut extend_span = obs::span("engine.summary.extend");
         // ---- batched seed extensions --------------------------------------
         // Extend each seed through its just-summarized pipeline: paths
         // reaching a later pipeline entry are cached for it; paths reaching
@@ -753,6 +766,7 @@ fn summarize_pipelines_batched(
             }
         }
         let ext_results = explore_batch(cfg, session, config, &ext_jobs);
+        record_phase(&mut extend_span, depth, &ext_results);
         for ((pi, si), r) in ext_src.into_iter().zip(ext_results) {
             stats.absorb(&r.stats);
             for d in r.hash_defs {
@@ -772,10 +786,23 @@ fn summarize_pipelines_batched(
             }
         }
         prog_ctx.register_pool_vars(&mut session.pool, &cfg.fields);
+        drop(extend_span);
         if stats.timed_out {
             return;
         }
     }
+}
+
+/// Tags a summary phase span with its topological level and its batch's
+/// job count, SMT checks and valid paths.
+fn record_phase(span: &mut obs::SpanGuard, level: usize, results: &[crate::parallel::JobResult]) {
+    span.field("level", level as u64);
+    span.field("jobs", results.len() as u64);
+    span.field(
+        "smt_checks",
+        results.iter().map(|r| r.stats.smt_checks).sum(),
+    );
+    span.field("paths", results.iter().map(|r| r.paths.len() as u64).sum());
 }
 
 /// Fields *read* by statements in the region between `entry` and `exit`

@@ -233,6 +233,11 @@ pub struct SatSolver {
     learned_units: Vec<Lit>,
     /// False once the clause set is unsatisfiable at level 0.
     ok: bool,
+    /// The assumptions of the last `solve`. Until the next `add_clause`,
+    /// trail level `i + 1` still holds `last_assumptions[i]` and its
+    /// consequences for every level the trail kept, so the next `solve`
+    /// reuses the levels of the prefix both calls share.
+    last_assumptions: Vec<Lit>,
     /// Statistics.
     pub stats: SatStats,
 }
@@ -267,6 +272,7 @@ impl SatSolver {
             learned_idx: Vec::new(),
             learned_units: Vec::new(),
             ok: true,
+            last_assumptions: Vec::new(),
             stats: SatStats::default(),
         }
     }
@@ -601,12 +607,29 @@ impl SatSolver {
     }
 
     /// Solves under the given assumptions.
+    ///
+    /// The trail is not rewound to level 0 between calls: levels `1..=k`
+    /// decide the first `k` assumptions, so when this call's assumptions
+    /// start with the same `k` literals as the previous call's, the solver
+    /// backtracks only to level `k` and keeps those levels' propagations.
+    /// Successive probes over one frame stack share the whole activation
+    /// prefix and differ in the last literal, so the prefix is propagated
+    /// once rather than once per call. `add_clause` still rewinds to level
+    /// 0, so any push, assert or pop between calls starts clean.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         self.stats.solves += 1;
         if !self.ok {
             return SatResult::Unsat;
         }
-        self.backtrack(0);
+        let shared = self
+            .last_assumptions
+            .iter()
+            .zip(assumptions)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.backtrack(shared as u32);
+        self.last_assumptions.clear();
+        self.last_assumptions.extend_from_slice(assumptions);
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 100 * Self::luby(restart_count);
         let mut conflicts_this_restart = 0u64;
@@ -656,7 +679,7 @@ impl SatSolver {
                         }
                         LBool::False => {
                             // Assumption conflicts with current knowledge.
-                            self.backtrack(0);
+                            // The levels below it stay for the next call.
                             return SatResult::Unsat;
                         }
                         LBool::Undef => {

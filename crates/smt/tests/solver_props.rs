@@ -455,3 +455,71 @@ fn clones_answer_like_fresh_solvers_and_leave_the_original_alone() {
         Ok(())
     });
 }
+
+/// Verdicts of a fresh solver holding the live assertions `frames`: one
+/// for the stack itself, or one per arm (each in its own frame).
+fn fresh_verdicts(
+    pool: &mut TermPool,
+    frames: &[Vec<TermId>],
+    arms: &[TermId],
+) -> Vec<CheckResult> {
+    let fresh = |pool: &mut TermPool, arm: Option<TermId>| {
+        let mut s = Solver::new();
+        s.push();
+        for &t in frames.iter().flatten().chain(&arm) {
+            s.assert_term(pool, t);
+        }
+        s.check(pool)
+    };
+    if arms.is_empty() {
+        vec![fresh(pool, None)]
+    } else {
+        arms.iter().map(|&a| fresh(pool, Some(a))).collect()
+    }
+}
+
+/// One long-lived solver answers a random interleaving of push, assert,
+/// check, check_under and pop exactly like a fresh solver given the same
+/// live assertions. Successive checks over an unchanged stack share their
+/// assumption prefix, so this exercises the SAT engine's trail reuse
+/// between calls, and its reset whenever a push, assert or pop adds a
+/// clause in between.
+#[test]
+fn warm_solver_answers_like_fresh_solvers() {
+    prop::check(prop::DEFAULT_CASES, |g| {
+        let (mut pool, terms) = arb_pool(g, 5);
+        let (ops, _) = arb_ops(g, &terms, 1, 24);
+        let mut solver = Solver::new();
+        solver.push();
+        let mut frames: Vec<Vec<TermId>> = vec![Vec::new()];
+        for (i, &op) in ops.iter().enumerate() {
+            let (got, arms) = match op {
+                Op::Push => {
+                    solver.push();
+                    frames.push(Vec::new());
+                    continue;
+                }
+                Op::Pop => {
+                    solver.pop();
+                    frames.pop();
+                    continue;
+                }
+                Op::Assert(t) => {
+                    solver.assert_term(&mut pool, t);
+                    frames.last_mut().unwrap().push(t);
+                    continue;
+                }
+                Op::Check => (vec![solver.check(&mut pool)], vec![]),
+                Op::CheckUnder(a, b) => (solver.check_under(&mut pool, &[a, b]), vec![a, b]),
+            };
+            let want = fresh_verdicts(&mut pool, &frames, &arms);
+            prop_assert_eq!(
+                got,
+                want,
+                "step {i} ({:?}) diverges from a fresh solver",
+                op
+            );
+        }
+        Ok(())
+    });
+}

@@ -108,6 +108,7 @@ fn workload(name: &str) -> suite::Workload {
         "acl" => suite::acl(4, 7),
         "switch_lite" => suite::switch_lite(3, 9),
         "gw2" => suite::gw::gw(2, suite::gw::GwScale { eips: 4 }),
+        "gw3" => suite::gw::gw(3, suite::gw::GwScale { eips: 16 }),
         "gw1-wide" => suite::gw::gw(1, suite::gw::GwScale { eips: 256 }),
         other => panic!("unknown workload {other}"),
     }
@@ -167,6 +168,16 @@ fn summary_solver_counters_are_thread_count_invariant() {
     // per-pipeline solver effort is a function of (job, snapshot) alone.
     // Default `min_paths_per_worker` on purpose: this is the production
     // configuration, worker right-sizing included.
+    //
+    // Batch workers keep one warm solver across the jobs they run, so the
+    // SAT engine's own counters — propagations, conflicts, decisions — now
+    // depend on which jobs share a worker and are schedule-dependent at
+    // threads > 1, the same exclusion the DFS fingerprint above documents.
+    // The probe-level counters asserted here are not: every job still
+    // probes against the same read-only verdict snapshot.
+    // `sat_engine_calls` could in principle move with the model a warm
+    // solver found last (`check_under` answers an arm that model satisfies
+    // without the engine), so this test is also the tripwire for that.
     let w = workload("gw2");
     let base = Meissa {
         config: MeissaConfig {
@@ -194,6 +205,34 @@ fn summary_solver_counters_are_thread_count_invariant() {
         assert_eq!(
             base.stats.cache_probes, got.stats.cache_probes,
             "cache_probes drifts at {threads} threads"
+        );
+    }
+
+    // The same invariant on a real summary workload: gw-3 with 16 EIPs
+    // runs 2,080 seed-extension jobs, so warm batch workers see long,
+    // schedule-dependent job sequences. Exact values, so the counters
+    // also stay those of the engine that gave every job a fresh solver.
+    let w = workload("gw3");
+    for threads in [1usize, 2, 4] {
+        let got = Meissa {
+            config: MeissaConfig {
+                threads,
+                ..MeissaConfig::default()
+            },
+        }
+        .run(&w.program);
+        assert_eq!(got.templates.len(), 885, "templates at {threads} threads");
+        assert_eq!(
+            got.stats.smt_checks, 51_514,
+            "smt_checks at {threads} threads"
+        );
+        assert_eq!(
+            got.stats.solver.sat_engine_calls, 32_012,
+            "sat_engine_calls at {threads} threads"
+        );
+        assert_eq!(
+            got.stats.cache_probes, 34_416,
+            "cache_probes at {threads} threads"
         );
     }
 }

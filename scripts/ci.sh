@@ -158,6 +158,15 @@ cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
   gw-1 --eips 1024 --threads 2 --ledger "$LEDGER_DIR/wide_t2.jsonl"
 cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- \
   diff "$LEDGER_DIR/wide_t1.jsonl" "$LEDGER_DIR/wide_t2.jsonl"
+# The same gate on the summary path: gw-4's batch workers keep one warm
+# solver across the jobs they run, and which jobs share a worker must not
+# leak into smt_checks, templates or valid_paths.
+cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
+  gw-4 --threads 1 --ledger "$LEDGER_DIR/gw4_t1.jsonl"
+cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
+  gw-4 --threads 2 --ledger "$LEDGER_DIR/gw4_t2.jsonl"
+cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- \
+  diff "$LEDGER_DIR/gw4_t1.jsonl" "$LEDGER_DIR/gw4_t2.jsonl"
 cargo run -q --offline --release -p meissa-bench --bin meissa-run -- \
   gw-3 --eips 8 --threads 4 --ledger "$LEDGER_DIR/mut.jsonl" --drop-last-rule eip_lookup
 if out=$(cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- \
