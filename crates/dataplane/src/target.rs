@@ -8,6 +8,20 @@
 //! injected [`Fault`] perturbs execution the way the paper's non-code bugs
 //! do — at the *executed-artifact* level, invisible in the source and in
 //! the CFG every analysis tool consumes.
+//!
+//! Match-action tables are looked up the way a switch does it, by key
+//! rather than by walking every rule. When the target is built, each branch
+//! node whose leading successors guard on conjunctions of `field == c` /
+//! `(field & mask) == c` (exact, lpm, multi-key exact and ternary rules)
+//! gets a tuple-space index: one hash map per `(field, mask)` signature,
+//! from masked key tuple to the *first* successor with that key. A lookup
+//! takes the smallest successor index over the groups, which is exactly
+//! "first guard that holds" in successor order. The miss arm is taken
+//! without evaluation only when its guard is structurally the conjunction
+//! of the indexed guards' negations; otherwise the successors after the
+//! indexed ones are scanned. Range keys, other guard shapes and
+//! [`Fault::PriorityInverted`] keep the in-order scan, which also stays as
+//! the oracle the index is tested against.
 
 use crate::faults::Fault;
 use crate::packet::{Packet, ParserPlan};
@@ -44,8 +58,11 @@ pub struct TargetOutput {
 pub struct RuleTally {
     /// Arm identity per index, in sorted `(table, arm)` order.
     sites: Vec<(String, RuleArm)>,
-    /// CFG node → tally indices to bump when execution selects that node.
-    by_node: HashMap<NodeId, Vec<u32>>,
+    /// `node_sites[node_start[n]..node_start[n + 1]]` are the tally
+    /// indices to bump when execution selects node `n` (dense by
+    /// `NodeId`, so a bump is two array reads, not a hash lookup).
+    node_start: Vec<u32>,
+    node_sites: Vec<u32>,
     hits: Vec<AtomicU64>,
 }
 
@@ -68,20 +85,22 @@ impl RuleTally {
             .enumerate()
             .map(|(i, k)| (k.clone(), i as u32))
             .collect();
-        let mut by_node: HashMap<NodeId, Vec<u32>> = HashMap::new();
-        for (nid, node_sites) in cfg.rule_site_map() {
-            let idxs: Vec<u32> = node_sites
-                .iter()
-                .map(|s| lookup[&(s.table.clone(), s.arm)])
-                .collect();
-            if !idxs.is_empty() {
-                by_node.insert(*nid, idxs);
-            }
+        let mut node_start = Vec::with_capacity(cfg.num_nodes() + 1);
+        let mut node_sites = Vec::new();
+        for n in 0..cfg.num_nodes() {
+            node_start.push(node_sites.len() as u32);
+            node_sites.extend(
+                cfg.rule_sites(NodeId(n as u32))
+                    .iter()
+                    .map(|s| lookup[&(s.table.clone(), s.arm)]),
+            );
         }
+        node_start.push(node_sites.len() as u32);
         let hits = (0..sites.len()).map(|_| AtomicU64::new(0)).collect();
         RuleTally {
             sites,
-            by_node,
+            node_start,
+            node_sites,
             hits,
         }
     }
@@ -90,10 +109,12 @@ impl RuleTally {
     /// rule sites; relaxed ordering — counts are monotone tallies, not
     /// synchronization.
     pub fn bump(&self, node: NodeId) {
-        if let Some(idxs) = self.by_node.get(&node) {
-            for &i in idxs {
-                self.hits[i as usize].fetch_add(1, Ordering::Relaxed);
-            }
+        let n = node.0 as usize;
+        let (Some(&lo), Some(&hi)) = (self.node_start.get(n), self.node_start.get(n + 1)) else {
+            return;
+        };
+        for &i in &self.node_sites[lo as usize..hi as usize] {
+            self.hits[i as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -134,6 +155,11 @@ pub struct SwitchTarget {
     egress_field: Option<FieldId>,
     /// Optional per-rule hit accounting, shared with scrapers.
     tally: Option<Arc<RuleTally>>,
+    /// The fault's field names, resolved once.
+    fault_fields: FaultFields,
+    /// Match index per branch node, dense by `NodeId`; empty when every
+    /// branch is scanned (priority inversion, the scan oracle).
+    index: Vec<Option<Box<BranchIndex>>>,
 }
 
 impl SwitchTarget {
@@ -144,15 +170,55 @@ impl SwitchTarget {
 
     /// A target whose backend exhibits the given fault.
     pub fn with_fault(program: &CompiledProgram, fault: Fault) -> Self {
-        let fields = &program.cfg.fields;
+        // Inverted priority picks the *last* matching rule; only the scan
+        // models that, so the faulty target has one lookup semantics.
+        let indexed = fault != Fault::PriorityInverted;
+        Self::build(program, fault, indexed)
+    }
+
+    /// The same target with every branch resolved by the in-order guard
+    /// scan: the oracle that differential tests hold the match index to.
+    #[doc(hidden)]
+    pub fn scan_oracle(program: &CompiledProgram, fault: Fault) -> Self {
+        Self::build(program, fault, false)
+    }
+
+    fn build(program: &CompiledProgram, fault: Fault, indexed: bool) -> Self {
+        let cfg = &program.cfg;
+        let fields = &cfg.fields;
+        let index = if indexed {
+            (0..cfg.num_nodes())
+                .map(|n| BranchIndex::build(cfg, cfg.succ(NodeId(n as u32))).map(Box::new))
+                .collect()
+        } else {
+            Vec::new()
+        };
         SwitchTarget {
             drop_field: fields.get("meta.drop"),
             egress_field: fields.get("meta.egress_port"),
             plan: ParserPlan::new(program),
+            fault_fields: FaultFields::resolve(fields, &fault),
             program: program.clone(),
             fault,
             tally: None,
+            index,
         }
+    }
+
+    /// The branch nodes served by the match index, in node order: the
+    /// node, how many leading successors the index covers, and whether a
+    /// lookup miss takes the next successor (the table's miss arm) without
+    /// evaluating its guard.
+    #[doc(hidden)]
+    pub fn indexed_branches(&self) -> Vec<(NodeId, usize, bool)> {
+        self.index
+            .iter()
+            .enumerate()
+            .filter_map(|(n, ix)| {
+                ix.as_ref()
+                    .map(|ix| (NodeId(n as u32), ix.indexed, ix.miss_direct))
+            })
+            .collect()
     }
 
     /// Enables per-rule hit accounting over the program's rule sites.
@@ -320,7 +386,7 @@ impl SwitchTarget {
             if succ.is_empty() {
                 return Some(state);
             }
-            node = self.pick_branch(cfg, &state, succ)?;
+            node = self.pick_branch(cfg, &state, node)?;
             if let Some(t) = &self.tally {
                 t.bump(node);
             }
@@ -331,15 +397,31 @@ impl SwitchTarget {
     /// a *raw* match guard (table rules, select arms), the target evaluates
     /// the raw match in successor (priority) order — first match wins,
     /// exactly equivalent to the CFG's flattened conditions on a faithful
-    /// backend, but perturbable by the priority-inversion fault.
-    fn pick_branch(&self, cfg: &Cfg, state: &ConcreteState, succ: &[NodeId]) -> Option<NodeId> {
+    /// backend, but perturbable by the priority-inversion fault. An indexed
+    /// node answers the same question with one hash lookup per mask group.
+    fn pick_branch(&self, cfg: &Cfg, state: &ConcreteState, node: NodeId) -> Option<NodeId> {
+        let succ = cfg.succ(node);
+        let mut rest = succ;
+        if let Some(Some(ix)) = self.index.get(node.0 as usize) {
+            if let Some(i) = ix.lookup(&cfg.fields, state) {
+                return Some(succ[i]);
+            }
+            if ix.miss_direct {
+                return Some(succ[ix.indexed]);
+            }
+            rest = &succ[ix.indexed..];
+        }
+        self.scan(cfg, state, rest)
+    }
+
+    /// The in-order guard scan over `succ`.
+    fn scan(&self, cfg: &Cfg, state: &ConcreteState, succ: &[NodeId]) -> Option<NodeId> {
         let mut chosen = None;
         for &s in succ {
-            let take = match (cfg.raw_guard(s), cfg.stmt(s)) {
-                (Some(raw), _) => self.eval_bexp(&cfg.fields, state, raw),
-                (None, Stmt::Assume(b)) => self.eval_bexp(&cfg.fields, state, b),
+            let take = match scan_guard(cfg, s) {
+                Some(guard) => self.eval_bexp(&cfg.fields, state, guard),
                 // Non-predicate successors are unconditional continuations.
-                (None, _) => true,
+                None => true,
             };
             if take {
                 chosen = Some(s);
@@ -369,14 +451,10 @@ impl SwitchTarget {
                 Some(())
             }
             Stmt::Assign(f, e) => {
+                let ff = &self.fault_fields;
                 // Fault: setValid compiled to a no-op (backend bug C).
-                if let Fault::SetValidDropped { header } = &self.fault {
-                    let vname = format!("hdr.{header}.$valid");
-                    if fields.name(*f) == vname
-                        && matches!(e, AExp::Const(c) if c.val() == 1)
-                    {
-                        return Some(());
-                    }
+                if ff.valid_dropped == Some(*f) && matches!(e, AExp::Const(c) if c.val() == 1) {
+                    return Some(());
                 }
                 // Fault: checksum-update writes dropped (missing flag).
                 if self.fault == Fault::ChecksumNotUpdated && contains_csum(e) {
@@ -384,28 +462,23 @@ impl SwitchTarget {
                 }
                 let mut value = state.eval_aexp(fields, e);
                 // Fault: corrupted immediate (frontend constant bug).
-                if let Fault::WrongConstant { field, xor_mask } = &self.fault {
-                    if fields.name(*f) == field && matches!(e, AExp::Const(_)) {
-                        value = value.xor(&Bv::new(value.width(), *xor_mask));
+                if let Some((field, xor_mask)) = ff.wrong_constant {
+                    if field == *f && matches!(e, AExp::Const(_)) {
+                        value = value.xor(&Bv::new(value.width(), xor_mask));
                     }
                 }
                 // Fault: assignment lands on the wrong destination.
-                let mut dest = *f;
-                if let Fault::WrongAssignment { intended, actual } = &self.fault {
-                    if fields.name(*f) == intended {
-                        if let Some(alt) = fields.get(actual) {
-                            dest = alt;
-                        }
-                    }
-                }
+                let dest = match ff.wrong_assignment {
+                    Some((intended, actual)) if intended == *f => actual,
+                    _ => *f,
+                };
                 state.set(fields, dest, value);
                 // Fault: pragma overlay — the partner field is clobbered.
-                if let Fault::FieldOverlap { a, b } = &self.fault {
-                    let name = fields.name(dest).to_string();
-                    let partner = if &name == a {
-                        fields.get(b)
-                    } else if &name == b {
-                        fields.get(a)
+                if let Some((a, b)) = ff.overlap {
+                    let partner = if dest == a {
+                        Some(b)
+                    } else if dest == b {
+                        Some(a)
                     } else {
                         None
                     };
@@ -455,6 +528,198 @@ impl SwitchTarget {
             }
             BExp::Not(x) => !self.eval_bexp(fields, state, x),
         }
+    }
+}
+
+/// The fields a [`Fault`] names, resolved against the program's field
+/// table once so the per-assignment checks compare `FieldId`s, not names.
+/// A name the program does not declare resolves to `None`, so the fault
+/// never fires.
+#[derive(Default)]
+struct FaultFields {
+    /// `hdr.<header>.$valid` under [`Fault::SetValidDropped`].
+    valid_dropped: Option<FieldId>,
+    /// The corrupted destination and its XOR mask under
+    /// [`Fault::WrongConstant`].
+    wrong_constant: Option<(FieldId, u128)>,
+    /// `(intended, actual)` under [`Fault::WrongAssignment`], when both exist.
+    wrong_assignment: Option<(FieldId, FieldId)>,
+    /// The overlaid pair under [`Fault::FieldOverlap`], when both exist
+    /// (a write to one clobbers the other only then).
+    overlap: Option<(FieldId, FieldId)>,
+}
+
+impl FaultFields {
+    fn resolve(fields: &meissa_ir::FieldTable, fault: &Fault) -> Self {
+        let mut ff = FaultFields::default();
+        match fault {
+            Fault::SetValidDropped { header } => {
+                ff.valid_dropped = fields.get(&format!("hdr.{header}.$valid"));
+            }
+            Fault::WrongConstant { field, xor_mask } => {
+                ff.wrong_constant = fields.get(field).map(|f| (f, *xor_mask));
+            }
+            Fault::WrongAssignment { intended, actual } => {
+                ff.wrong_assignment = fields.get(intended).zip(fields.get(actual));
+            }
+            Fault::FieldOverlap { a, b } => ff.overlap = fields.get(a).zip(fields.get(b)),
+            _ => {}
+        }
+        ff
+    }
+}
+
+/// The guard the scan evaluates before entering `s`: its raw match guard
+/// when it has one, else its `assume` condition; `None` for an
+/// unconditional continuation.
+fn scan_guard(cfg: &Cfg, s: NodeId) -> Option<&BExp> {
+    match (cfg.raw_guard(s), cfg.stmt(s)) {
+        (Some(raw), _) => Some(raw),
+        (None, Stmt::Assume(b)) => Some(b),
+        (None, _) => None,
+    }
+}
+
+/// Most key cells one indexed guard may have (the lookup assembles its key
+/// tuple in a stack buffer of this size).
+const MAX_KEY_CELLS: usize = 16;
+
+/// Tuple-space index over one branch node's leading successors.
+struct BranchIndex {
+    /// One group per `(field, mask)` signature, ordered by the smallest
+    /// successor index it holds.
+    groups: Vec<MaskGroup>,
+    /// Number of leading successors the groups cover.
+    indexed: usize,
+    /// The successor right after the indexed ones has, as its guard, the
+    /// conjunction of their guards' negations (the compiler's miss arm), so
+    /// a lookup miss takes it without evaluation.
+    miss_direct: bool,
+}
+
+/// The indexed guards sharing one `(field, mask)` signature.
+struct MaskGroup {
+    /// `(field, mask)` per key cell, in guard order.
+    cells: Vec<(FieldId, u128)>,
+    /// Masked key tuple → first successor index with that key.
+    first_by_key: HashMap<Box<[u128]>, u32>,
+    /// Smallest successor index in `first_by_key`.
+    first: u32,
+}
+
+impl BranchIndex {
+    /// Indexes the leading successors whose guards are match conjunctions;
+    /// `None` when fewer than two are (a scan is as cheap there).
+    fn build(cfg: &Cfg, succ: &[NodeId]) -> Option<BranchIndex> {
+        if succ.len() < 2 {
+            return None;
+        }
+        let fields = &cfg.fields;
+        let mut groups: Vec<MaskGroup> = Vec::new();
+        let mut group_of: HashMap<Vec<(FieldId, u128)>, usize> = HashMap::new();
+        let mut cells = Vec::new();
+        let mut indexed = 0;
+        for (i, &s) in succ.iter().enumerate() {
+            let Some(guard) = scan_guard(cfg, s) else {
+                break;
+            };
+            cells.clear();
+            let Some(satisfiable) = match_cells(fields, guard, &mut cells) else {
+                break;
+            };
+            if cells.len() > MAX_KEY_CELLS {
+                break;
+            }
+            indexed = i + 1;
+            if !satisfiable {
+                continue; // never holds: no key reaches it
+            }
+            let sig: Vec<(FieldId, u128)> = cells.iter().map(|&(f, m, _)| (f, m)).collect();
+            let g = *group_of.entry(sig).or_insert_with_key(|sig| {
+                groups.push(MaskGroup {
+                    cells: sig.clone(),
+                    first_by_key: HashMap::new(),
+                    first: i as u32,
+                });
+                groups.len() - 1
+            });
+            let key: Box<[u128]> = cells.iter().map(|&(_, _, v)| v).collect();
+            // Successors arrive in priority order: the first key wins.
+            groups[g].first_by_key.entry(key).or_insert(i as u32);
+        }
+        if indexed < 2 {
+            return None;
+        }
+        groups.sort_by_key(|g| g.first);
+        let miss_direct = succ.get(indexed).is_some_and(|&m| {
+            let mut none = BExp::True;
+            for &s in &succ[..indexed] {
+                let guard = scan_guard(cfg, s).expect("indexed successors are guarded");
+                none = BExp::and(none, BExp::not(guard.clone()));
+            }
+            scan_guard(cfg, m) == Some(&none)
+        });
+        Some(BranchIndex {
+            groups,
+            indexed,
+            miss_direct,
+        })
+    }
+
+    /// The first indexed successor whose guard holds in `state`.
+    fn lookup(&self, fields: &meissa_ir::FieldTable, state: &ConcreteState) -> Option<usize> {
+        let mut best = u32::MAX;
+        let mut key = [0u128; MAX_KEY_CELLS];
+        for g in &self.groups {
+            if g.first >= best {
+                break; // every later group starts later still
+            }
+            for (slot, &(f, mask)) in key.iter_mut().zip(&g.cells) {
+                *slot = state.get(fields, f).val() & mask;
+            }
+            if let Some(&i) = g.first_by_key.get(&key[..g.cells.len()]) {
+                best = best.min(i);
+            }
+        }
+        (best != u32::MAX).then_some(best as usize)
+    }
+}
+
+/// Flattens `guard` into `(field, mask, value)` cells, each meaning
+/// `field & mask == value` (the mask is all ones for plain equality).
+/// `None` when some conjunct has another shape (a literal `false` too: it
+/// is the miss arm of a table with an all-wildcard rule); `Some(false)`
+/// when a cell's value has bits outside its mask, so the guard never holds.
+fn match_cells(
+    fields: &meissa_ir::FieldTable,
+    guard: &BExp,
+    out: &mut Vec<(FieldId, u128, u128)>,
+) -> Option<bool> {
+    use meissa_ir::{AOp, BOp, CmpOp};
+    match guard {
+        BExp::True => Some(true),
+        BExp::Bin(BOp::And, a, b) => {
+            let x = match_cells(fields, a, out)?;
+            let y = match_cells(fields, b, out)?;
+            Some(x && y)
+        }
+        BExp::Cmp(CmpOp::Eq, lhs, AExp::Const(c)) => {
+            let (f, mask) = match lhs {
+                AExp::Field(f) => (*f, Bv::ones(fields.width(*f))),
+                AExp::Bin(AOp::And, x, m) => match (&**x, &**m) {
+                    (AExp::Field(f), AExp::Const(m)) => (*f, *m),
+                    _ => return None,
+                },
+                _ => return None,
+            };
+            let width = fields.width(f);
+            if mask.width() != width || c.width() != width {
+                return None;
+            }
+            out.push((f, mask.val(), c.val()));
+            Some(c.val() & !mask.val() == 0)
+        }
+        _ => None,
     }
 }
 

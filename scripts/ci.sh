@@ -41,6 +41,17 @@ echo "==> test (offline, stateful sequences: MEISSA_K_PACKETS=2)"
 # wire checker directly.
 MEISSA_K_PACKETS=2 MEISSA_THREADS=4 cargo test -q --offline -p meissa-suite -p meissa-core
 
+echo "==> differential: indexed table lookup vs the guard scan, fresh seed"
+# The switch target looks tables up through a hash index; the in-order
+# guard scan is the oracle it must match byte for byte. The property ran
+# above under the harness's fixed seed; this run draws fresh random
+# packets (a new seed per CI run, printed here and in any failure report,
+# so a failure reproduces with MEISSA_PROP_SEED=<seed>).
+INDEX_SEED="$(date +%s)"
+echo "MEISSA_PROP_SEED=$INDEX_SEED"
+MEISSA_PROP_SEED="$INDEX_SEED" cargo test -q --offline -p meissa-suite --test target_index \
+  indexed_lookup_matches_the_scan
+
 echo "==> loopback smoke test: gw-3 through the wire driver"
 # Spawns the switch agent on an ephemeral loopback port and streams the
 # gw-3 suite through the TCP sender/receiver/checker (transport faults
