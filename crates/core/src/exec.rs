@@ -466,9 +466,6 @@ pub(crate) fn explore_task(
 ) -> ExecStats {
     let mut stats = ExecStats::default();
     let t0 = Instant::now();
-    // Task boundary: pick up clauses sibling workers published since this
-    // worker's last task (no-op without an exchange attached).
-    session.import_shared();
     let SolveSession {
         pool,
         solver,

@@ -45,30 +45,12 @@ use crate::exec::{
 use crate::session::SolveSession;
 use crate::symstate::{HashDef, SymCtx};
 use meissa_ir::{Cfg, FieldId, NodeId};
-use meissa_smt::{ClauseExchange, TermId, TermNode, TermPool};
+use meissa_smt::{TermId, TermNode, TermPool};
 use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// Slots in the cross-worker learned-clause exchange. Publication is
-/// append-only and drops on overflow, so this bounds both memory and the
-/// work a late import can possibly do.
-const EXCHANGE_CAPACITY: usize = 4096;
-
-/// The cross-worker clause pool for a run, honoring the
-/// `MEISSA_CLAUSE_SHARE` switch (`off` disables sharing; anything else —
-/// including unset — enables it for multi-worker runs).
-fn clause_exchange(workers: usize) -> Option<Arc<ClauseExchange>> {
-    if workers < 2 {
-        return None; // nothing to exchange with
-    }
-    if std::env::var("MEISSA_CLAUSE_SHARE").is_ok_and(|v| v == "off") {
-        return None;
-    }
-    Some(Arc::new(ClauseExchange::new(EXCHANGE_CAPACITY)))
-}
 
 /// One sibling-range task. Every worker pool is a fork of the main pool, so
 /// the seed task (`pool: None`) carries main-pool ids that are valid
@@ -287,7 +269,6 @@ fn worker_loop(
     frontier: &Frontier,
     budget: &ExploreBudget,
     scope: Option<&str>,
-    exchange: Option<&Arc<ClauseExchange>>,
     tx: mpsc::Sender<(usize, RawPath)>,
     wid: usize,
 ) -> WorkerOutput {
@@ -302,9 +283,6 @@ fn worker_loop(
     let mut span = obs::span("parallel.worker");
     span.field("wid", wid as u64);
     let mut session = SolveSession::fork_from(main_pool);
-    if let Some(ex) = exchange {
-        session.attach_exchange(ex.clone(), wid);
-    }
     let mut ctx = SymCtx::new(scope);
     let mut busy = std::time::Duration::ZERO;
     let mut steal_wait = std::time::Duration::ZERO;
@@ -379,9 +357,6 @@ fn worker_loop(
         frontier.finish_task();
         busy += t_task.elapsed();
     }
-    // Last export: the clauses this worker learned after its final retire
-    // boundary are still useful to stragglers.
-    session.share_learned();
     span.field("tasks", tasks as u64);
     span.field("steals", steals);
     span.field("busy_us", busy.as_micros() as u64);
@@ -461,7 +436,6 @@ pub(crate) fn explore_parallel(
     });
     let budget = ExploreBudget::new(config, t0);
     let scope: Option<String> = ctx.scope().map(str::to_string);
-    let exchange = clause_exchange(threads);
     let (tx, rx) = mpsc::channel::<(usize, RawPath)>();
 
     let main_pool = &session.pool;
@@ -475,12 +449,10 @@ pub(crate) fn explore_parallel(
                     let frontier = &frontier;
                     let budget = &budget;
                     let scope = scope.as_deref();
-                    let exchange = exchange.as_ref();
                     let tx = tx.clone();
                     s.spawn(move || {
                         worker_loop(
-                            cfg, main_pool, targets, config, frontier, budget, scope, exchange,
-                            tx, wid,
+                            cfg, main_pool, targets, config, frontier, budget, scope, tx, wid,
                         )
                     })
                 })
@@ -644,23 +616,18 @@ pub(crate) fn explore_batch(
     // thread-invariant. What a job decides on top of the base it keeps
     // locally; those discoveries are merged back below in job order.
     let base: Arc<HashMap<u128, bool>> = Arc::new(session.verdict_cache.clone());
-    let exchange = clause_exchange(threads);
     let main_pool = &session.pool;
     let shared = main_pool.len() as u32;
     let outputs: Vec<BatchWorkerOutput> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|wid| {
+            .map(|_| {
                 let next = &next;
                 let base = base.clone();
-                let exchange = exchange.clone();
                 s.spawn(move || {
                     // Fork the main pool once per worker: job prefixes are
                     // main-pool ids and need no translation on the way in.
                     let mut wsession = SolveSession::fork_from(main_pool);
                     wsession.base_verdicts = Some(base);
-                    if let Some(ex) = exchange {
-                        wsession.attach_exchange(ex, wid);
-                    }
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -688,7 +655,6 @@ pub(crate) fn explore_batch(
                         let found = wsession.take_discoveries();
                         done.push((i, paths, stats, defs, found));
                     }
-                    wsession.share_learned();
                     BatchWorkerOutput {
                         session: wsession,
                         done,

@@ -10,18 +10,10 @@
 
 use crate::exec::ExecStats;
 use meissa_smt::sat::SatStats;
-use meissa_smt::{
-    CheckResult, ClauseExchange, SharedClause, Solver, SolverStats, TermId, TermPool,
-};
+use meissa_smt::{CheckResult, Solver, SolverStats, TermId, TermPool};
 use meissa_testkit::obs;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-
-/// Longest learned clause worth exchanging: short clauses prune the most
-/// per literal, and translation cost is linear in clause length.
-const MAX_SHARE_LITS: usize = 8;
-/// Cap on clauses parked for retry because their atoms are not blasted yet.
-const MAX_PENDING_IMPORTS: usize = 512;
 
 /// Live observability metrics for the session cache layer
 /// (`meissa_session_*` in the Prometheus exposition). Only touched when
@@ -30,8 +22,6 @@ struct ObsMetrics {
     cache_probes: Arc<obs::Counter>,
     cache_hits: Arc<obs::Counter>,
     arm_batch: Arc<obs::Histogram>,
-    clauses_exported: Arc<obs::Counter>,
-    clauses_imported: Arc<obs::Counter>,
 }
 
 fn obs_metrics() -> &'static ObsMetrics {
@@ -40,8 +30,6 @@ fn obs_metrics() -> &'static ObsMetrics {
         cache_probes: obs::counter("session.cache_probes"),
         cache_hits: obs::counter("session.cache_hits"),
         arm_batch: obs::histogram("session.arm_batch_size"),
-        clauses_exported: obs::counter("session.clauses_exported"),
-        clauses_imported: obs::counter("session.clauses_imported"),
     })
 }
 
@@ -93,21 +81,6 @@ pub struct SolveSession {
     /// this session decided itself, so a batched-exploration driver can
     /// merge those *discoveries* back deterministically.
     pub(crate) base_verdicts: Option<Arc<HashMap<u128, bool>>>,
-    /// The cross-worker learned-clause pool, when clause sharing is on.
-    /// Export happens at solver-retire boundaries ([`SolveSession::
-    /// reset_solver`] / [`SolveSession::share_learned`]); import at the
-    /// driver's task boundaries via [`SolveSession::import_shared`].
-    exchange: Option<Arc<ClauseExchange>>,
-    /// This session's worker id on the exchange (own clauses are skipped).
-    exchange_wid: usize,
-    /// How far into the exchange this session has read.
-    exchange_cursor: usize,
-    /// Shared clauses whose atoms the live solver has not blasted yet;
-    /// retried on the next import, bounded by [`MAX_PENDING_IMPORTS`].
-    pending_import: Vec<SharedClause>,
-    /// Content hashes of clauses already published, so successive retire
-    /// boundaries don't republish the re-exported survivors.
-    published: HashSet<u64>,
 }
 
 /// One step of the order-sensitive 64-bit lane fold behind [`verdict_key`]
@@ -161,21 +134,7 @@ impl Default for SolveSession {
 impl SolveSession {
     /// A fresh session: empty pool, fresh solver, zeroed statistics.
     pub fn new() -> Self {
-        SolveSession {
-            pool: TermPool::new(),
-            solver: Solver::new(),
-            exec: ExecStats::default(),
-            retired: SolverStats::default(),
-            retired_sat: SatStats::default(),
-            checks_consumed: 0,
-            verdict_cache: HashMap::new(),
-            base_verdicts: None,
-            exchange: None,
-            exchange_wid: 0,
-            exchange_cursor: 0,
-            pending_import: Vec::new(),
-            published: HashSet::new(),
-        }
+        Self::fork_from(&TermPool::new())
     }
 
     /// A worker session *forked* from a main pool: its pool starts as a
@@ -200,71 +159,6 @@ impl SolveSession {
             // snapshot via `base_verdicts` instead.
             verdict_cache: HashMap::new(),
             base_verdicts: None,
-            exchange: None,
-            exchange_wid: 0,
-            exchange_cursor: 0,
-            pending_import: Vec::new(),
-            published: HashSet::new(),
-        }
-    }
-
-    /// Attaches the cross-worker clause exchange; `wid` identifies this
-    /// session so it never re-imports its own exports.
-    pub(crate) fn attach_exchange(&mut self, exchange: Arc<ClauseExchange>, wid: usize) {
-        self.exchange = Some(exchange);
-        self.exchange_wid = wid;
-        self.exchange_cursor = 0;
-    }
-
-    /// Publishes the live solver's short, portable learned clauses to the
-    /// exchange (no-op without one). Called from every retire boundary and
-    /// by drivers at worker exit, so siblings stop re-deriving conflicts
-    /// this solver already paid for.
-    pub(crate) fn share_learned(&mut self) {
-        let Some(ex) = self.exchange.clone() else {
-            return;
-        };
-        let mut exported = 0u64;
-        for lits in self.solver.export_portable(MAX_SHARE_LITS) {
-            let h = lits
-                .iter()
-                .fold(0x636c_6175_7365u64, |h, &(k, pol)| fold_step(h, k ^ pol as u64));
-            if !self.published.insert(h) {
-                continue;
-            }
-            if !ex.publish(self.exchange_wid, lits) {
-                break; // exchange full — later boundaries need not retry
-            }
-            exported += 1;
-        }
-        if exported > 0 && obs::active() {
-            obs_metrics().clauses_exported.add(exported);
-        }
-    }
-
-    /// Imports clauses other workers published since the last call into the
-    /// live solver (no-op without an exchange). Clauses mentioning atoms
-    /// this solver has not blasted yet are parked and retried next time;
-    /// imports are logical consequences of the shared constraint content,
-    /// so verdicts — and with them every counter above the SAT engine —
-    /// are unchanged.
-    pub(crate) fn import_shared(&mut self) {
-        let Some(ex) = self.exchange.clone() else {
-            return;
-        };
-        let mut fresh = ex.read_new(self.exchange_wid, &mut self.exchange_cursor);
-        if fresh.is_empty() && self.pending_import.is_empty() {
-            return;
-        }
-        fresh.append(&mut self.pending_import);
-        let (imported, deferred) = self.solver.import_portable(fresh);
-        self.pending_import = deferred;
-        if self.pending_import.len() > MAX_PENDING_IMPORTS {
-            let excess = self.pending_import.len() - MAX_PENDING_IMPORTS;
-            self.pending_import.drain(..excess);
-        }
-        if imported > 0 && obs::active() {
-            obs_metrics().clauses_imported.add(imported as u64);
         }
     }
 
@@ -285,9 +179,6 @@ impl SolveSession {
     /// growth costs little, while re-blasting a fresh solver per summary
     /// job was most of gw-4's generation time.
     pub fn reset_solver(&mut self) {
-        // A retiring solver's learned clauses are about to be dropped —
-        // last chance to publish them for siblings.
-        self.share_learned();
         let old = std::mem::replace(&mut self.solver, Solver::new());
         if obs::trace_on() {
             obs::event(

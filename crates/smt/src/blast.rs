@@ -24,13 +24,6 @@ pub struct Blaster {
     bools: HashMap<TermId, Lit>,
     /// Bits allocated for each solver variable (for model extraction).
     var_bits: HashMap<VarId, Vec<Lit>>,
-    /// Structural content key of every SAT variable this blaster created:
-    /// input-variable bits are keyed by the variable's (name-based) term
-    /// hash and bit index, gate outputs by their op tag and operand keys.
-    /// Blasting the same terms builds the same gate graph in any solver, so
-    /// these keys are solver-portable identities — the alphabet of the
-    /// learned-clause exchange (see [`Blaster::portable_atoms`]).
-    keys: HashMap<crate::sat::Var, u64>,
 }
 
 impl Blaster {
@@ -38,14 +31,11 @@ impl Blaster {
     pub fn new(sat: &mut SatSolver) -> Self {
         let t = Lit::new(sat.new_var(), true);
         sat.add_clause(&[t]);
-        let mut keys = HashMap::new();
-        keys.insert(t.var(), TRUE_KEY);
         Blaster {
             true_lit: t,
             bits: HashMap::new(),
             bools: HashMap::new(),
             var_bits: HashMap::new(),
-            keys,
         }
     }
 
@@ -104,30 +94,6 @@ impl Blaster {
 
     // ----- gates ---------------------------------------------------------
 
-    /// The portable key of a literal: its variable's content key, salted
-    /// when negated.
-    fn lit_key(&self, l: Lit) -> u64 {
-        let base = self.keys[&l.var()];
-        if l.positive() {
-            base
-        } else {
-            base ^ NEG_SALT
-        }
-    }
-
-    /// Allocates a fresh gate variable keyed by the gate's op tag and its
-    /// operand keys, so the same gate built in another solver over the same
-    /// terms gets the same portable identity.
-    fn fresh_keyed(&mut self, sat: &mut SatSolver, tag: u64, operands: &[Lit]) -> Lit {
-        let mut k = tag;
-        for &l in operands {
-            k = key_mix(k, self.lit_key(l));
-        }
-        let c = Lit::new(sat.new_var(), true);
-        self.keys.insert(c.var(), k);
-        c
-    }
-
     /// `c ⇔ a ∧ b`
     fn and_gate(&mut self, sat: &mut SatSolver, a: Lit, b: Lit) -> Lit {
         match (self.is_const(a), self.is_const(b)) {
@@ -142,7 +108,7 @@ impl Blaster {
         if a == b.neg() {
             return self.false_lit();
         }
-        let c = self.fresh_keyed(sat, AND_TAG, &[a, b]);
+        let c = Lit::new(sat.new_var(), true);
         sat.add_clause(&[c.neg(), a]);
         sat.add_clause(&[c.neg(), b]);
         sat.add_clause(&[c, a.neg(), b.neg()]);
@@ -171,7 +137,7 @@ impl Blaster {
         if a == b.neg() {
             return self.true_lit;
         }
-        let c = self.fresh_keyed(sat, XOR_TAG, &[a, b]);
+        let c = Lit::new(sat.new_var(), true);
         sat.add_clause(&[c.neg(), a, b]);
         sat.add_clause(&[c.neg(), a.neg(), b.neg()]);
         sat.add_clause(&[c, a.neg(), b]);
@@ -203,7 +169,7 @@ impl Blaster {
                 self.and_gate(sat, a, b)
             };
         }
-        let c = self.fresh_keyed(sat, MAJ_TAG, &[a, b, d]);
+        let c = Lit::new(sat.new_var(), true);
         sat.add_clause(&[c.neg(), a, b]);
         sat.add_clause(&[c.neg(), a, d]);
         sat.add_clause(&[c.neg(), b, d]);
@@ -241,7 +207,7 @@ impl Blaster {
             0 => self.true_lit,
             1 => pending[0],
             _ => {
-                let c = self.fresh_keyed(sat, ANDN_TAG, &pending);
+                let c = Lit::new(sat.new_var(), true);
                 let mut big = Vec::with_capacity(pending.len() + 1);
                 big.push(c);
                 for &l in &pending {
@@ -268,13 +234,7 @@ impl Blaster {
                     b.clone()
                 } else {
                     let w = pool.var_width(vid);
-                    let h = pool.term_hash(t);
-                    let mut b = Vec::with_capacity(w as usize);
-                    for i in 0..w {
-                        let l = Lit::new(sat.new_var(), true);
-                        self.keys.insert(l.var(), portable_key(h, BIT_TAG, u64::from(i)));
-                        b.push(l);
-                    }
+                    let b: Vec<Lit> = (0..w).map(|_| Lit::new(sat.new_var(), true)).collect();
                     self.var_bits.insert(vid, b.clone());
                     b
                 }
@@ -429,53 +389,7 @@ impl Blaster {
     pub fn cache_size(&self) -> usize {
         self.bits.len() + self.bools.len()
     }
-
-    /// Enumerates every SAT variable this blaster created, with its
-    /// solver-portable content key: input-variable bits are keyed by the
-    /// variable's name-based term hash and bit index, Tseitin gate outputs
-    /// structurally by op tag and operand keys. The reported polarity is
-    /// always `true` (keys identify the positive variable; negation is the
-    /// caller's `NEG` salt). Two solvers that blast the same (content-
-    /// hashed) terms build the same gate graph and therefore agree on every
-    /// key, which is what makes learned clauses over these atoms portable:
-    /// a clause whose variables all appear here is a consequence of gate
-    /// *definitions* and permanent units alone, hence valid in any solver
-    /// blasting the same terms.
-    pub fn portable_atoms(&self) -> impl Iterator<Item = (crate::sat::Var, u64, bool)> + '_ {
-        self.keys.iter().map(|(&v, &k)| (v, k, true))
-    }
 }
-
-/// Namespace tag for input-variable bit atoms in [`portable_key`].
-pub const BIT_TAG: u64 = 0x6269;
-/// Key of the constant-true literal's variable.
-const TRUE_KEY: u64 = 0x7472_7565;
-/// Salt applied to a variable key when the literal is negated.
-const NEG_SALT: u64 = 0x6e65_675f_6e65_675f;
-/// Structural gate tags.
-const AND_TAG: u64 = 0x616e_64;
-const XOR_TAG: u64 = 0x786f_72;
-const MAJ_TAG: u64 = 0x6d61_6a;
-const ANDN_TAG: u64 = 0x616e_646e;
-
-/// One splitmix64 round; fixed constants, no per-process seeding — stable
-/// across runs, pools, and solvers.
-fn key_mix(mut h: u64, v: u64) -> u64 {
-    h = h.wrapping_add(0x9e3779b97f4a7c15).wrapping_add(v);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-    h ^ (h >> 31)
-}
-
-/// Mixes a content hash, a namespace tag, and an index into the 64-bit
-/// portable-atom key used by the clause exchange.
-pub fn portable_key(content: u64, tag: u64, idx: u64) -> u64 {
-    key_mix(key_mix(content, tag), idx)
-}
-
-/// Convenience re-export used by the solver façade.
-pub use crate::sat::Lit as SatLit;
-pub use crate::sat::Var as SatVar;
 
 #[cfg(test)]
 mod tests {

@@ -48,6 +48,5 @@ pub mod sat;
 pub mod solver;
 pub mod term;
 
-pub use sat::{ClauseExchange, PortableLit, SharedClause};
 pub use solver::{CheckResult, Model, Solver, SolverStats};
 pub use term::{TermId, TermNode, TermPool, VarId};

@@ -17,8 +17,6 @@
 //! invocations", §3.2).
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// A propositional variable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -227,10 +225,6 @@ pub struct SatSolver {
     order: OrderHeap,
     polarity: Vec<bool>,
     seen: Vec<bool>,
-    /// Indices into `clauses` of learned (conflict-derived) clauses.
-    learned_idx: Vec<u32>,
-    /// Conflict-derived unit facts, permanent at level 0.
-    learned_units: Vec<Lit>,
     /// False once the clause set is unsatisfiable at level 0.
     ok: bool,
     /// The assumptions of the last `solve`. Until the next `add_clause`,
@@ -269,8 +263,6 @@ impl SatSolver {
             order: OrderHeap::default(),
             polarity: Vec::new(),
             seen: Vec::new(),
-            learned_idx: Vec::new(),
-            learned_units: Vec::new(),
             ok: true,
             last_assumptions: Vec::new(),
             stats: SatStats::default(),
@@ -301,24 +293,6 @@ impl SatSolver {
     /// Number of clauses (original + learned).
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// Iterates the retained learned clauses (conflict-derived, non-unit).
-    ///
-    /// Literal order inside a clause is unspecified — unit propagation
-    /// permutes the first two positions to maintain the watch invariant —
-    /// but the literal *set* is exactly what conflict analysis derived, so
-    /// each clause is a logical consequence of the clause database alone
-    /// (assumptions enter solves as decisions and are never resolved away).
-    pub fn learned_clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
-        self.learned_idx
-            .iter()
-            .map(move |&i| self.clauses[i as usize].lits.as_slice())
-    }
-
-    /// Conflict-derived unit facts (permanent level-0 consequences).
-    pub fn learned_unit_facts(&self) -> &[Lit] {
-        &self.learned_units
     }
 
     fn lit_value(&self, l: Lit) -> LBool {
@@ -651,11 +625,9 @@ impl SatSolver {
                 self.backtrack(bt);
                 let asserting = learned[0];
                 if learned.len() == 1 {
-                    self.learned_units.push(asserting);
                     self.enqueue(asserting, NO_REASON);
                 } else {
                     let idx = self.attach_clause(learned);
-                    self.learned_idx.push(idx);
                     self.stats.learned += 1;
                     self.enqueue(asserting, idx);
                 }
@@ -700,96 +672,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-}
-
-/// A solver-portable literal: a stable 64-bit content key (an input
-/// variable's bit or a blasted boolean term, hashed pool-independently)
-/// together with the boolean value the literal asserts for it. Portable
-/// literals carry *semantic* identity — "term H evaluates to b" — so a
-/// clause over them is meaningful to any solver that blasts the same
-/// terms, regardless of how its private `Var` numbering came out.
-pub type PortableLit = (u64, bool);
-
-/// A learned clause published to the exchange, tagged with the worker that
-/// derived it so importers can skip their own exports.
-#[derive(Clone, Debug)]
-pub struct SharedClause {
-    /// Worker id of the publisher.
-    pub source: usize,
-    /// Disjunction of portable literals.
-    pub lits: Vec<PortableLit>,
-}
-
-/// A lock-free, fixed-capacity, publish-once clause pool shared between
-/// worker solvers.
-///
-/// Writers claim a slot with a single `fetch_add` and publish through a
-/// `OnceLock`; readers walk the contiguous prefix of initialised slots with
-/// a private cursor. There are no locks, no blocking, and no allocation
-/// after construction (beyond the clauses themselves), so publishing at a
-/// retire boundary never stalls another worker. Once the pool is full,
-/// further publishes are dropped — the exchange is an accelerator, never a
-/// correctness dependency.
-pub struct ClauseExchange {
-    slots: Vec<OnceLock<SharedClause>>,
-    /// Next slot to claim; may run past `slots.len()` once full.
-    head: AtomicUsize,
-}
-
-impl ClauseExchange {
-    /// Creates an exchange holding at most `capacity` clauses.
-    pub fn new(capacity: usize) -> Self {
-        ClauseExchange {
-            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
-            head: AtomicUsize::new(0),
-        }
-    }
-
-    /// Publishes a clause. Returns `false` (dropping the clause) when the
-    /// pool is full.
-    pub fn publish(&self, source: usize, lits: Vec<PortableLit>) -> bool {
-        if self.head.load(Ordering::Relaxed) >= self.slots.len() {
-            return false;
-        }
-        let i = self.head.fetch_add(1, Ordering::Relaxed);
-        if i >= self.slots.len() {
-            return false;
-        }
-        let _ = self.slots[i].set(SharedClause { source, lits });
-        true
-    }
-
-    /// Number of slots claimed so far (an upper bound on readable clauses;
-    /// a claimed slot may be mid-publish for a moment).
-    pub fn len(&self) -> usize {
-        self.head.load(Ordering::Acquire).min(self.slots.len())
-    }
-
-    /// True when nothing has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reads clauses published since `cursor`, skipping those `reader`
-    /// itself published, and advances the cursor over the contiguous
-    /// initialised prefix (a slot still mid-publish stops the scan so no
-    /// clause is ever skipped).
-    pub fn read_new(&self, reader: usize, cursor: &mut usize) -> Vec<SharedClause> {
-        let end = self.len();
-        let mut out = Vec::new();
-        while *cursor < end {
-            match self.slots[*cursor].get() {
-                Some(c) => {
-                    if c.source != reader {
-                        out.push(c.clone());
-                    }
-                    *cursor += 1;
-                }
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -1055,102 +937,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn learned_clause_accessors_track_stats() {
-        // PHP(3,2) guarded: refuting it learns clauses; the accessor view
-        // must match the stats counter and every clause must be a
-        // consequence (spot-check: re-adding them changes no verdict).
-        let mut s = SatSolver::new();
-        let g = s.new_var();
-        let mut p = [[Var(0); 2]; 3];
-        for row in p.iter_mut() {
-            for cell in row.iter_mut() {
-                *cell = s.new_var();
-            }
-        }
-        for row in &p {
-            s.add_clause(&[neg(g), pos(row[0]), pos(row[1])]);
-        }
-        for h in 0..2 {
-            for i in 0..3 {
-                for j in (i + 1)..3 {
-                    s.add_clause(&[neg(g), neg(p[i][h]), neg(p[j][h])]);
-                }
-            }
-        }
-        assert_eq!(s.solve(&[pos(g)]), SatResult::Unsat);
-        let learned: Vec<Vec<Lit>> = s.learned_clauses().map(|c| c.to_vec()).collect();
-        assert_eq!(learned.len() as u64, s.stats.learned);
-        assert!(!learned.is_empty() || !s.learned_unit_facts().is_empty());
-        assert_eq!(s.solve(&[neg(g)]), SatResult::Sat);
-        for c in &learned {
-            s.add_clause(c);
-        }
-        assert_eq!(s.solve(&[neg(g)]), SatResult::Sat);
-        assert_eq!(s.solve(&[pos(g)]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn exchange_publish_read_skips_own() {
-        let ex = ClauseExchange::new(4);
-        assert!(ex.is_empty());
-        assert!(ex.publish(0, vec![(10, true)]));
-        assert!(ex.publish(1, vec![(11, false)]));
-        assert!(ex.publish(0, vec![(12, true), (13, false)]));
-        let mut cur = 0usize;
-        let got = ex.read_new(0, &mut cur);
-        assert_eq!(got.len(), 1, "reader 0 skips its own two clauses");
-        assert_eq!(got[0].source, 1);
-        assert_eq!(got[0].lits, vec![(11, false)]);
-        assert_eq!(cur, 3);
-        // Nothing new: cursor holds, read is empty.
-        assert!(ex.read_new(0, &mut cur).is_empty());
-        // A different reader starting fresh sees the other side.
-        let mut cur1 = 0usize;
-        let got1 = ex.read_new(1, &mut cur1);
-        assert_eq!(got1.len(), 2);
-        assert!(got1.iter().all(|c| c.source == 0));
-    }
-
-    #[test]
-    fn exchange_full_drops_and_stays_consistent() {
-        let ex = ClauseExchange::new(2);
-        assert!(ex.publish(0, vec![(1, true)]));
-        assert!(ex.publish(0, vec![(2, true)]));
-        assert!(!ex.publish(0, vec![(3, true)]), "pool full: dropped");
-        assert_eq!(ex.len(), 2);
-        let mut cur = 0usize;
-        assert_eq!(ex.read_new(9, &mut cur).len(), 2);
-    }
-
-    #[test]
-    fn exchange_concurrent_publish_read() {
-        use std::sync::Arc;
-        let ex = Arc::new(ClauseExchange::new(1024));
-        std::thread::scope(|s| {
-            for wid in 0..4usize {
-                let ex = Arc::clone(&ex);
-                s.spawn(move || {
-                    for i in 0..128u64 {
-                        ex.publish(wid, vec![(wid as u64 * 1000 + i, i % 2 == 0)]);
-                    }
-                });
-            }
-            let ex2 = Arc::clone(&ex);
-            s.spawn(move || {
-                let mut cur = 0usize;
-                let mut seen = 0usize;
-                while seen < 3 * 128 {
-                    seen += ex2.read_new(3, &mut cur).len();
-                    std::hint::spin_loop();
-                }
-            });
-        });
-        assert_eq!(ex.len(), 512);
-        let mut cur = 0usize;
-        let all = ex.read_new(usize::MAX, &mut cur);
-        assert_eq!(all.len(), 512);
     }
 }

@@ -15,7 +15,7 @@
 //! while refuting one arm stays available to its siblings.
 
 use crate::blast::Blaster;
-use crate::sat::{Lit, PortableLit, SatResult, SatSolver, SharedClause};
+use crate::sat::{Lit, SatResult, SatSolver};
 use crate::term::{EvalValue, TermId, TermPool, VarId};
 use meissa_num::Bv;
 use meissa_testkit::obs;
@@ -87,23 +87,6 @@ struct Frame {
     activation: Lit,
     /// True if some assertion in this frame folded to the constant `false`.
     poisoned: bool,
-    /// Order-independent fold (wrapping sum of mixed term hashes) of every
-    /// assertion that reached the clause database in this frame, plus the
-    /// count. Together they give the frame's *content key*, which lends the
-    /// activation literal portable identity: two solvers whose open frames
-    /// guard the same assertion set agree on what `¬act ∨ …` means, so
-    /// learned clauses mentioning the activation stay exportable.
-    content: u64,
-    content_len: u64,
-}
-
-/// Namespace tag for one asserted term inside a frame-content fold.
-const ASSERT_TAG: u64 = 0x6173;
-/// Namespace tag for frame-activation atoms in the portable-atom keyspace.
-const FRAME_TAG: u64 = 0x6672;
-
-fn frame_key(f: &Frame) -> u64 {
-    crate::blast::portable_key(f.content, FRAME_TAG, f.content_len)
 }
 
 /// An incremental bitvector SMT solver.
@@ -167,8 +150,6 @@ impl Solver {
         self.frames.push(Frame {
             activation: act,
             poisoned: false,
-            content: 0,
-            content_len: 0,
         });
         if extend_model {
             self.model_depth = self.frames.len();
@@ -216,12 +197,7 @@ impl Solver {
         if self.model_depth == self.frames.len() && !self.model_certifies(pool, t) {
             self.model_depth = self.frames.len() - 1;
         }
-        let frame = self.frames.last_mut().unwrap();
-        frame.content = frame
-            .content
-            .wrapping_add(crate::blast::portable_key(pool.term_hash(t), ASSERT_TAG, 0));
-        frame.content_len += 1;
-        let act = frame.activation;
+        let act = self.frames.last().unwrap().activation;
         let (blaster, sat) = self.blaster_mut();
         let lit = blaster.bool_lit(pool, sat, t);
         sat.add_clause(&[act.neg(), lit]);
@@ -404,107 +380,6 @@ impl Solver {
     /// Underlying SAT statistics (propagations, conflicts, learned clauses).
     pub fn sat_stats(&self) -> crate::sat::SatStats {
         self.sat.stats
-    }
-
-    /// Exports this solver's learned clauses in solver-portable form for
-    /// the clause exchange (see [`crate::sat::ClauseExchange`]).
-    ///
-    /// Only clauses of at most `max_lits` literals whose *every* variable
-    /// has a portable identity ([`Blaster::portable_atoms`]) are exported.
-    /// That filter is the soundness argument: activation literals and
-    /// anonymous Tseitin gates are excluded, so a surviving clause is a
-    /// consequence of gate definitions plus permanent units alone — a
-    /// theory lemma over shared term content, valid in any solver that
-    /// blasts the same (content-hashed) terms. Literals are sorted by key,
-    /// making equal lemmas byte-equal for cheap dedup at the publish site.
-    pub fn export_portable(&self, max_lits: usize) -> Vec<Vec<PortableLit>> {
-        let Some(blaster) = &self.blaster else {
-            return Vec::new();
-        };
-        // One SAT var can carry several portable identities (shared cones);
-        // keep the smallest key so the choice is deterministic. Open frames'
-        // activation vars are keyed by frame content: a learned clause is
-        // monotone in the database, so keying with the frame's content *at
-        // export time* (a superset of what the clause actually used) keeps
-        // the exported implication valid for any matching importer frame.
-        let mut map: HashMap<crate::sat::Var, (u64, bool)> = HashMap::new();
-        let frames = self
-            .frames
-            .iter()
-            .map(|f| (f.activation.var(), frame_key(f), f.activation.positive()));
-        for (v, key, pol) in blaster.portable_atoms().chain(frames) {
-            match map.get(&v) {
-                Some(&(k, _)) if k <= key => {}
-                _ => {
-                    map.insert(v, (key, pol));
-                }
-            }
-        }
-        let units = self.sat.learned_unit_facts().iter().map(std::slice::from_ref);
-        let mut out = Vec::new();
-        for clause in units.chain(self.sat.learned_clauses()) {
-            if clause.len() > max_lits {
-                continue;
-            }
-            let mut plits = Vec::with_capacity(clause.len());
-            let mut portable = true;
-            for l in clause {
-                match map.get(&l.var()) {
-                    Some(&(key, pol)) => plits.push((key, l.positive() == pol)),
-                    None => {
-                        portable = false;
-                        break;
-                    }
-                }
-            }
-            if portable {
-                plits.sort_unstable();
-                plits.dedup();
-                out.push(plits);
-            }
-        }
-        out
-    }
-
-    /// Translates portable clauses into this solver's own encoding and adds
-    /// them to the clause database. Returns `(imported, deferred)`: clauses
-    /// referencing an atom this solver has not blasted yet cannot be
-    /// translated and are handed back for a later retry (the atom map only
-    /// grows). Imported clauses are theory lemmas, so they never change a
-    /// verdict — they only let the engine skip re-deriving a conflict.
-    pub fn import_portable(&mut self, clauses: Vec<SharedClause>) -> (usize, Vec<SharedClause>) {
-        if clauses.is_empty() {
-            return (0, clauses);
-        }
-        let Some(blaster) = &self.blaster else {
-            return (0, clauses);
-        };
-        let mut map: HashMap<u64, Lit> = HashMap::new();
-        let frames = self
-            .frames
-            .iter()
-            .map(|f| (f.activation.var(), frame_key(f), f.activation.positive()));
-        for (v, key, pol) in blaster.portable_atoms().chain(frames) {
-            map.entry(key).or_insert_with(|| Lit::new(v, pol));
-        }
-        let mut imported = 0usize;
-        let mut deferred = Vec::new();
-        for c in clauses {
-            let lits: Option<Vec<Lit>> = c
-                .lits
-                .iter()
-                .map(|&(key, val)| map.get(&key).map(|&l| if val { l } else { l.neg() }))
-                .collect();
-            match lits {
-                Some(ls) => {
-                    let ok = self.sat.add_clause(&ls);
-                    debug_assert!(ok, "imported theory lemma contradicted the clause database");
-                    imported += 1;
-                }
-                None => deferred.push(c),
-            }
-        }
-        (imported, deferred)
     }
 }
 
@@ -699,58 +574,5 @@ mod tests {
     fn unbalanced_pop_panics() {
         let mut s = Solver::new();
         s.pop();
-    }
-
-    #[test]
-    fn portable_clauses_roundtrip_and_preserve_verdicts() {
-        // Solver A probes sibling arms under a carry-chain bound, learning
-        // conflict clauses (refuting `x^y != 255` under `x+y == 255` needs
-        // real search, not just assumption propagation); B blasts the same
-        // terms, imports A's portable lemmas, and must answer every probe
-        // exactly like a fresh solver.
-        let mut pool = TermPool::new();
-        let x = pool.var("x", 8);
-        let y = pool.var("y", 8);
-        let c255 = pool.bv_const(Bv::new(8, 255));
-        let sum = pool.add(x, y);
-        let bound = pool.eq(sum, c255);
-        let xor = pool.bv_xor(x, y);
-        let mut arms: Vec<TermId> = vec![pool.ne(xor, c255)];
-        for k in 0..8u128 {
-            let kk = pool.bv_const(Bv::new(8, 17 * k));
-            arms.push(pool.eq(x, kk));
-        }
-
-        let mut a = Solver::new();
-        a.push();
-        a.assert_term(&mut pool, bound);
-        let va = a.check_under(&mut pool, &arms);
-        let exported = a.export_portable(8);
-        assert!(
-            !exported.is_empty(),
-            "refuting the carry-chain arm must yield portable lemmas"
-        );
-
-        let mut b = Solver::new();
-        b.push();
-        b.assert_term(&mut pool, bound);
-        let _ = b.check_under(&mut pool, &arms[1..4]);
-        let shared: Vec<SharedClause> = exported
-            .iter()
-            .map(|lits| SharedClause {
-                source: 0,
-                lits: lits.clone(),
-            })
-            .collect();
-        let (imported, _deferred) = b.import_portable(shared);
-        assert!(imported > 0, "identically blasted terms must translate");
-        let vb = b.check_under(&mut pool, &arms);
-
-        let mut fresh = Solver::new();
-        fresh.push();
-        fresh.assert_term(&mut pool, bound);
-        let vf = fresh.check_under(&mut pool, &arms);
-        assert_eq!(vb, vf, "imported lemmas must never change a verdict");
-        assert_eq!(va, vf);
     }
 }

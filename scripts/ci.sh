@@ -25,13 +25,6 @@ echo "==> test (offline, parallel engine: MEISSA_THREADS=4)"
 # output), so this catches any thread-count-dependent behavior.
 MEISSA_THREADS=4 cargo test -q --offline --workspace
 
-echo "==> test (offline, clause exchange off: MEISSA_CLAUSE_SHARE=off)"
-# The parallel run once more with the learned-clause exchange disabled:
-# shared lemmas may only save SAT-engine work, never steer the search, so
-# every golden/e2e/determinism assertion must hold identically without
-# them (clause_exchange.rs additionally diffs the two modes head-to-head).
-MEISSA_CLAUSE_SHARE=off MEISSA_THREADS=4 cargo test -q --offline -p meissa-suite -p meissa-core
-
 echo "==> test (offline, stateful sequences: MEISSA_K_PACKETS=2)"
 # The core + suite tests once more with the sequence-length knob set:
 # `Meissa::run` is contractually independent of `k_packets` (only
