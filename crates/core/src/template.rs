@@ -6,12 +6,20 @@
 //! constraints, turning the template into a concrete input state; the §4
 //! hash post-step then pins the model's key values, computes the real hash,
 //! and re-solves so that generated packets have *correct* hash fields (or
-//! rejects the packet when that is impossible).
+//! rejects the packet when that is impossible). The post-step runs only
+//! when a constraint or a hash key mentions a hash output: otherwise every
+//! pin already holds and no re-solve can fail.
+//!
+//! Instantiation works on a caller's solver: [`TestTemplate::assert_on`]
+//! opens a frame with the template's constraints, and each instantiation
+//! runs in a frame of its own above it, so one solver can serve many
+//! instantiations and many templates in turn.
 
 use crate::symstate::HashDef;
 use meissa_ir::{ConcreteState, FieldId, FieldTable, NodeId};
 use meissa_smt::term::EvalValue;
-use meissa_smt::{CheckResult, Solver, TermId, TermPool};
+use meissa_smt::{CheckResult, Solver, TermId, TermPool, VarId};
+use std::collections::BinaryHeap;
 
 /// A deferred hash check attached to a template (§4).
 #[derive(Clone, Debug)]
@@ -54,23 +62,18 @@ pub struct TestTemplate {
 }
 
 impl TestTemplate {
-    /// A solver holding this template's constraints in one open frame, not
-    /// yet checked. Every instantiation starts from this state, so callers
-    /// that instantiate one template several times build it once and hand
-    /// clones to [`TestTemplate::instantiate_on`]: a clone taken before any
-    /// `check` is the very state a fresh solver reaches by asserting the
-    /// same constraints, so each clone finds the same model that fresh
-    /// solver would, while bit-blasting the constraints only once.
-    pub fn base_solver(&self, pool: &mut TermPool) -> Solver {
-        let mut solver = Solver::new();
+    /// Opens a frame on `solver` holding this template's constraints. The
+    /// `_on` instantiation methods solve on top of it; the caller pops it
+    /// once it is done with the template.
+    pub fn assert_on(&self, solver: &mut Solver, pool: &mut TermPool) {
         solver.push();
         for &c in &self.constraints {
             solver.assert_term(pool, c);
         }
-        solver
     }
 
-    /// Instantiates the template into a concrete input state.
+    /// Instantiates the template into a concrete input state on a fresh
+    /// solver.
     ///
     /// Returns `None` when the constraints are unsatisfiable (which
     /// Algorithm 1 prevents for freshly-generated templates, but callers may
@@ -82,20 +85,51 @@ impl TestTemplate {
         fields: &FieldTable,
         extra: &[TermId],
     ) -> Option<ConcreteState> {
-        let base = self.base_solver(pool);
-        self.instantiate_on(base, pool, fields, extra)
+        let mut solver = Solver::new();
+        self.assert_on(&mut solver, pool);
+        self.instantiate_on(&mut solver, pool, fields, extra)
     }
 
-    /// [`TestTemplate::instantiate`] on a solver already holding the
-    /// template's constraints: `solver` is this template's
-    /// [`TestTemplate::base_solver`] over the same `pool`, or a clone of it.
-    /// The `extra` constraints join the constraints' frame. From an
-    /// unchecked base it returns exactly what `instantiate` would.
+    /// [`TestTemplate::instantiate`] on a solver whose open frames hold this
+    /// template's constraints ([`TestTemplate::assert_on`]) and nothing
+    /// that contradicts them. The `extra` constraints and the hash repair
+    /// each get a frame of their own, popped before returning, so `solver`
+    /// is left at the depth it was found at and can go on to the next
+    /// instantiation or template.
     pub fn instantiate_on(
         &self,
-        mut solver: Solver,
+        solver: &mut Solver,
         pool: &mut TermPool,
         fields: &FieldTable,
+        extra: &[TermId],
+    ) -> Option<ConcreteState> {
+        let vars = vars_of(pool, &self.constraints);
+        self.instantiate_with(solver, pool, fields, &vars, extra)
+    }
+
+    /// [`TestTemplate::instantiate_on`] given `vars`, the variables of this
+    /// template's constraints.
+    fn instantiate_with(
+        &self,
+        solver: &mut Solver,
+        pool: &mut TermPool,
+        fields: &FieldTable,
+        vars: &[VarId],
+        extra: &[TermId],
+    ) -> Option<ConcreteState> {
+        solver.push();
+        let out = self.solve_and_read(solver, pool, fields, vars, extra);
+        solver.pop();
+        out
+    }
+
+    /// The body of [`TestTemplate::instantiate_with`], inside its frame.
+    fn solve_and_read(
+        &self,
+        solver: &mut Solver,
+        pool: &mut TermPool,
+        fields: &FieldTable,
+        vars: &[VarId],
         extra: &[TermId],
     ) -> Option<ConcreteState> {
         for &c in extra {
@@ -104,80 +138,113 @@ impl TestTemplate {
         if solver.check(pool) != CheckResult::Sat {
             return None;
         }
-
-        if !self.hash_obligations.is_empty() {
-            // §4 hash repair: pin every hash key to its model value, compute
-            // the true hash, and require the stand-in to equal it. One
-            // round suffices because pinned keys make each hash concrete.
-            // Asserting does not touch the model, so every key reads the
-            // first check's values.
-            solver.push();
-            for ob in &self.hash_obligations {
-                let mut key_vals = Vec::with_capacity(ob.keys.len());
-                for &k in &ob.keys {
-                    let v = match pool.eval(k, &|var| Some(solver.value(pool, var)))? {
-                        EvalValue::Bv(v) => v,
-                        EvalValue::Bool(_) => return None,
-                    };
-                    let kc = pool.bv_const(v);
-                    let pin = pool.eq(k, kc);
-                    solver.assert_term(pool, pin);
-                    key_vals.push(v);
-                }
-                let h = ob.alg.compute(ob.width, &key_vals);
-                let hc = pool.bv_const(h);
-                let want = pool.eq(ob.out, hc);
-                solver.assert_term(pool, want);
-            }
-            if solver.check(pool) != CheckResult::Sat {
-                // The path constrained the hash output incompatibly with the
-                // pinned keys: reject, as §4 prescribes.
-                return None;
-            }
+        // The variables this instantiation reads: the constraints', the
+        // extras' and, when the hashes are repaired, the hash keys'. A
+        // long-lived solver also holds values for variables of earlier
+        // templates; reading only these makes every other field zero, as on
+        // a fresh solver.
+        let mut read = vars.to_vec();
+        read.extend(vars_of(pool, extra));
+        if !self.hash_outputs_constrained(pool, &read) {
+            return Some(read_out(solver, pool, fields, read));
         }
+        // §4 hash repair, in a frame of its own: pin every hash key to its
+        // model value, compute the true hash, and require the stand-in to
+        // equal it. One round suffices because pinned keys make each hash
+        // concrete. Asserting does not touch the model, so every key reads
+        // the first check's values.
+        solver.push();
+        let repaired = self.repair_hashes(solver, pool, &mut read);
+        let out = repaired.map(|()| read_out(solver, pool, fields, read));
+        solver.pop();
+        out
+    }
 
-        // Read only the input fields' values: a field with no variable in
-        // the pool never reached any constraint and stays absent.
-        let pairs = fields
+    /// Whether some hash stand-in occurs in `vars` (the variables asserted
+    /// so far) or in a hash key. Only then can the §4 repair fail or move
+    /// the model: otherwise the model already satisfies every key pin, and
+    /// each stand-in, which nothing else mentions, can take its true hash.
+    fn hash_outputs_constrained(&self, pool: &TermPool, vars: &[VarId]) -> bool {
+        if self.hash_obligations.is_empty() {
+            return false;
+        }
+        let outs: Vec<TermId> = self.hash_obligations.iter().map(|ob| ob.out).collect();
+        let outs = vars_of(pool, &outs);
+        let keys: Vec<TermId> = self
+            .hash_obligations
             .iter()
-            .filter(|&f| !fields.is_auxiliary(f)) // summary scratch, not packet input
-            .filter_map(|f| Some((f, solver.value(pool, pool.find_var(fields.name(f))?))));
-        Some(ConcreteState::from_pairs(pairs))
+            .flat_map(|ob| ob.keys.iter().copied())
+            .collect();
+        let keys = vars_of(pool, &keys);
+        outs.iter().any(|v| vars.contains(v) || keys.contains(v))
+    }
+
+    /// Asserts the hash repair pins of the current model and checks them.
+    /// `None` when a key does not evaluate or the path constrains a hash
+    /// output incompatibly with its pinned keys: reject, as §4 prescribes.
+    fn repair_hashes(
+        &self,
+        solver: &mut Solver,
+        pool: &mut TermPool,
+        read: &mut Vec<VarId>,
+    ) -> Option<()> {
+        for ob in &self.hash_obligations {
+            read.extend(vars_of(pool, &ob.keys));
+            read.extend(vars_of(pool, &[ob.out]));
+            let mut key_vals = Vec::with_capacity(ob.keys.len());
+            for &k in &ob.keys {
+                let v = match pool.eval(k, &|var| Some(solver.value(pool, var)))? {
+                    EvalValue::Bv(v) => v,
+                    EvalValue::Bool(_) => return None,
+                };
+                let kc = pool.bv_const(v);
+                let pin = pool.eq(k, kc);
+                solver.assert_term(pool, pin);
+                key_vals.push(v);
+            }
+            let h = ob.alg.compute(ob.width, &key_vals);
+            let hc = pool.bv_const(h);
+            let want = pool.eq(ob.out, hc);
+            solver.assert_term(pool, want);
+        }
+        (solver.check(pool) == CheckResult::Sat).then_some(())
     }
 
     /// Generates up to `n` *distinct* concrete inputs for this template —
     /// "One or more input-output test cases can be generated based on the
-    /// template for a path" (§2.1). Each round adds disequalities against
-    /// the previous models' non-auxiliary input fields, so successive
-    /// packets differ in at least one field while still driving the same
-    /// path.
+    /// template for a path" (§2.1) — on a fresh solver. Each round adds
+    /// disequalities against the previous models' non-auxiliary input
+    /// fields, so successive packets differ in at least one field while
+    /// still driving the same path.
     pub fn instantiate_distinct(
         &self,
         pool: &mut TermPool,
         fields: &FieldTable,
         n: usize,
     ) -> Vec<ConcreteState> {
-        let base = self.base_solver(pool);
-        self.instantiate_distinct_on(&base, pool, fields, n)
+        let mut solver = Solver::new();
+        self.assert_on(&mut solver, pool);
+        self.instantiate_distinct_on(&mut solver, pool, fields, n)
     }
 
-    /// [`TestTemplate::instantiate_distinct`] with every round on a clone
-    /// of `base`, this template's [`TestTemplate::base_solver`] over the
-    /// same `pool`.
+    /// [`TestTemplate::instantiate_distinct`] on a solver prepared as for
+    /// [`TestTemplate::instantiate_on`]; every round runs in its own frame,
+    /// and `solver` is left at the depth it was found at.
     pub fn instantiate_distinct_on(
         &self,
-        base: &Solver,
+        solver: &mut Solver,
         pool: &mut TermPool,
         fields: &FieldTable,
         n: usize,
     ) -> Vec<ConcreteState> {
+        let vars = vars_of(pool, &self.constraints);
         let mut out: Vec<ConcreteState> = Vec::new();
         let mut extra: Vec<TermId> = Vec::new();
         // The template's own non-auxiliary input fields, which later rounds
         // must not repeat; only needed once a second round is due.
         let mut used: Option<Vec<FieldId>> = None;
         while out.len() < n {
-            let Some(state) = self.instantiate_on(base.clone(), pool, fields, &extra) else {
+            let Some(state) = self.instantiate_with(solver, pool, fields, &vars, &extra) else {
                 break; // the remaining input space is exhausted
             };
             out.push(state);
@@ -185,13 +252,12 @@ impl TestTemplate {
                 break; // no later round to exclude this packet from
             }
             let used = used.get_or_insert_with(|| {
-                let mut used = Vec::new();
-                for &c in &self.constraints {
-                    collect_fields_of(pool, fields, c, &mut used);
-                }
+                let mut used: Vec<FieldId> = vars
+                    .iter()
+                    .filter_map(|&v| fields.get(pool.var_name(v)))
+                    .filter(|&f| !fields.is_auxiliary(f))
+                    .collect();
                 used.sort();
-                used.dedup();
-                used.retain(|&f| !fields.is_auxiliary(f));
                 used
             });
             if used.is_empty() {
@@ -214,32 +280,47 @@ impl TestTemplate {
     }
 }
 
-/// Collects the fields whose input variables appear in a term.
-fn collect_fields_of(pool: &TermPool, fields: &FieldTable, t: TermId, out: &mut Vec<FieldId>) {
+/// The input state holding the model's values of the non-auxiliary fields
+/// among `vars`.
+fn read_out(
+    solver: &Solver,
+    pool: &TermPool,
+    fields: &FieldTable,
+    mut vars: Vec<VarId>,
+) -> ConcreteState {
+    vars.sort_unstable();
+    vars.dedup();
+    let pairs = vars.into_iter().filter_map(|v| {
+        let f = fields.get(pool.var_name(v))?;
+        // Auxiliary fields are summary scratch, not packet input.
+        (!fields.is_auxiliary(f)).then(|| (f, solver.value(pool, v)))
+    });
+    ConcreteState::from_pairs(pairs)
+}
+
+/// The variables in the terms `roots`, each once.
+fn vars_of(pool: &TermPool, roots: &[TermId]) -> Vec<VarId> {
     use meissa_smt::TermNode::*;
-    match *pool.node(t) {
-        BvVar(_) => {
-            if let Some(f) = fields.get(pool.var_name(match *pool.node(t) {
-                BvVar(v) => v,
-                _ => unreachable!(),
-            })) {
-                out.push(f);
+    // A term's operands are interned before it, so they have smaller ids:
+    // visiting the largest id first pops every copy of a term back to back.
+    let mut heap: BinaryHeap<TermId> = roots.iter().copied().collect();
+    let mut last = None;
+    let mut vars = Vec::new();
+    while let Some(t) = heap.pop() {
+        if last.replace(t) == Some(t) {
+            continue;
+        }
+        match *pool.node(t) {
+            BvVar(v) => vars.push(v),
+            BvConst(_) | BoolConst(_) => {}
+            BvBin(_, a, b) | BvConcat(a, b) | Cmp(_, a, b) | BoolAnd(a, b) | BoolOr(a, b) => {
+                heap.extend([a, b])
             }
-        }
-        BvConst(_) | BoolConst(_) => {}
-        BvBin(_, a, b) | BvConcat(a, b) | Cmp(_, a, b) | BoolAnd(a, b) | BoolOr(a, b) => {
-            collect_fields_of(pool, fields, a, out);
-            collect_fields_of(pool, fields, b, out);
-        }
-        BvNot(a) | BvShl(a, _) | BvShr(a, _) | BvExtract(a, _, _) | BoolNot(a) => {
-            collect_fields_of(pool, fields, a, out)
-        }
-        BvIte(c, a, b) => {
-            collect_fields_of(pool, fields, c, out);
-            collect_fields_of(pool, fields, a, out);
-            collect_fields_of(pool, fields, b, out);
+            BvNot(a) | BvShl(a, _) | BvShr(a, _) | BvExtract(a, _, _) | BoolNot(a) => heap.push(a),
+            BvIte(c, a, b) => heap.extend([c, a, b]),
         }
     }
+    vars
 }
 
 #[cfg(test)]

@@ -30,7 +30,8 @@ use meissa_core::{RunOutput, TestTemplate};
 use meissa_dataplane::{parse_packet, Packet, SwitchTarget, TargetOutput};
 use meissa_ir::{ConcreteState, FieldTable};
 use meissa_lang::CompiledProgram;
-use meissa_smt::{TermId, TermPool};
+use meissa_smt::{Solver, TermId, TermPool};
+use meissa_testkit::obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -116,16 +117,23 @@ impl CaseSpec {
 /// constraints"). Each case gets a globally unique `wire_id` (1-based,
 /// in plan order).
 ///
-/// Each template's constraints are bit-blasted once; every instantiation
-/// of it solves an unchecked clone of that solver, which finds the same
-/// model a fresh solver would, and reads only the model values the case
-/// needs. Templates are planned by `run.threads` workers: the calling
-/// thread on the run's term pool, each helper thread on its own clone of
-/// it (no thread is spawned when `run.threads` is 1). `wire_id`s are
-/// assigned in template order after the workers join. The plan is
-/// byte-identical for every worker count: terms are stored in a
-/// content-canonical shape, so a forked pool blasts them to the same
-/// clauses and the solver returns the same models.
+/// Templates are planned in fixed chunks of [`PLAN_CHUNK`] consecutive
+/// templates, each on one solver that lives for the chunk. Every template
+/// gets a frame holding its constraints, and every instantiation and hash
+/// repair a frame inside it, so the blaster's term cache shares the cones
+/// the chunk's templates have in common and no solver is ever copied. An
+/// instantiation reads only the fields of its template's constraints, its
+/// extras and, when the §4 hash repair runs, its hash keys; every other
+/// field reads zero, as on a fresh solver.
+///
+/// `run.threads` workers take whole chunks from a shared counter: the
+/// calling thread on the run's term pool, each helper on its own clone of
+/// it (no thread is spawned when `run.threads` is 1). Chunk boundaries
+/// depend only on the template index and terms are stored in a
+/// content-canonical shape, so a chunk blasts to the same clauses and
+/// yields the same inputs on whichever worker plans it. `wire_id`s are
+/// assigned in template order after the workers join, so the plan is the
+/// same for every worker count.
 pub fn plan_cases(
     program: &CompiledProgram,
     run: &mut RunOutput,
@@ -161,6 +169,12 @@ pub fn plan_cases(
     cases
 }
 
+/// How many consecutive templates share one planning solver. Smaller
+/// chunks re-blast the cones their templates share; larger ones leave a
+/// solver more dead variables from popped frames, which the SAT engine
+/// still decides on every check (DESIGN.md §6 "Planning" has the sweep).
+pub const PLAN_CHUNK: usize = 16;
+
 /// One template's planned inputs, before `wire_id`s are assigned.
 struct Planned {
     /// The distinct instantiations (empty when the template is unsatisfiable).
@@ -169,27 +183,60 @@ struct Planned {
     intents: Vec<ConcreteState>,
 }
 
+/// Plans one template on `solver`, which it leaves at the depth it found.
 fn plan_template(
     t: &TestTemplate,
+    solver: &mut Solver,
     pool: &mut TermPool,
     fields: &FieldTable,
     givens: &[TermId],
     packets_per_template: usize,
 ) -> Planned {
-    let base = t.base_solver(pool);
-    Planned {
-        distinct: t.instantiate_distinct_on(&base, pool, fields, packets_per_template),
+    t.assert_on(solver, pool);
+    let planned = Planned {
+        distinct: t.instantiate_distinct_on(solver, pool, fields, packets_per_template),
         intents: givens
             .iter()
-            .filter_map(|&g| t.instantiate_on(base.clone(), pool, fields, &[g]))
+            .filter_map(|&g| t.instantiate_on(solver, pool, fields, &[g]))
             .collect(),
+    };
+    solver.pop();
+    planned
+}
+
+/// Plans one chunk of consecutive templates on one fresh solver, and
+/// records a `driver.plan.chunk` span when tracing is on.
+fn plan_chunk(
+    chunk: &[TestTemplate],
+    pool: &mut TermPool,
+    fields: &FieldTable,
+    givens: &[TermId],
+    n: usize,
+) -> Vec<Planned> {
+    let mut span = obs::span("driver.plan.chunk");
+    let mut solver = Solver::new();
+    let planned: Vec<Planned> = chunk
+        .iter()
+        .map(|t| plan_template(t, &mut solver, pool, fields, givens, n))
+        .collect();
+    if obs::active() {
+        let cases: usize = planned
+            .iter()
+            .map(|p| p.distinct.len() + p.intents.len())
+            .sum();
+        let skipped = planned.iter().filter(|p| p.distinct.is_empty()).count();
+        span.field("templates", chunk.len() as u64);
+        span.field("cases", cases as u64);
+        span.field("skipped", skipped as u64);
+        span.field("sat_engine_calls", solver.stats.sat_engine_calls);
     }
+    planned
 }
 
 /// Plans every template of `run`, indexed like `run.templates`. Workers
-/// take the next unplanned template from a shared counter, so a slow
-/// template holds up only its own worker. The calling thread is the first
-/// worker; only the others are spawned.
+/// take the next unplanned chunk from a shared counter, so a slow chunk
+/// holds up only its own worker. The calling thread is the first worker;
+/// only the others are spawned.
 fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Planned> {
     let RunOutput {
         pool,
@@ -199,7 +246,8 @@ fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Plann
         ..
     } = run;
     let fields = &cfg.fields;
-    let workers = (*threads).min(templates.len()).max(1);
+    let chunks: Vec<&[TestTemplate]> = templates.chunks(PLAN_CHUNK).collect();
+    let workers = (*threads).min(chunks.len()).max(1);
     let next = AtomicUsize::new(0);
     let work = |pool: &mut TermPool| {
         let mut done = Vec::new();
@@ -207,13 +255,13 @@ fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Plann
             // Relaxed: the counter only hands out indices; the planned
             // cases come back through `join`.
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(t) = templates.get(i) else {
+            let Some(chunk) = chunks.get(i) else {
                 return done;
             };
-            done.push((i, plan_template(t, pool, fields, givens, n)));
+            done.push((i, plan_chunk(chunk, pool, fields, givens, n)));
         }
     };
-    let mut slots: Vec<Option<Planned>> = templates.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<Vec<Planned>>> = chunks.iter().map(|_| None).collect();
     std::thread::scope(|s| {
         let work = &work;
         let helpers: Vec<_> = (1..workers)
@@ -232,7 +280,7 @@ fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Plann
     });
     slots
         .into_iter()
-        .map(|p| p.expect("every template planned"))
+        .flat_map(|p| p.expect("every chunk planned"))
         .collect()
 }
 
@@ -811,6 +859,176 @@ mod tests {
         assert_eq!(dedup.len(), ids.len(), "wire ids must be unique");
         // Plan order is deterministic: ids are assigned 1..=n in order.
         assert_eq!(ids, (1..=ids.len() as u64).collect::<Vec<_>>());
+    }
+}
+
+#[cfg(test)]
+mod chunk_tests {
+    use super::*;
+    use meissa_core::{HashObligation, Meissa};
+    use meissa_ir::HashAlg;
+    use meissa_lang::{compile, parse_program, parse_rules};
+    use meissa_num::Bv;
+    use meissa_smt::term::EvalValue;
+
+    fn template(id: usize, constraints: Vec<TermId>, hash: Vec<HashObligation>) -> TestTemplate {
+        TestTemplate {
+            id,
+            path: vec![],
+            constraints,
+            final_values: vec![],
+            hash_obligations: hash,
+        }
+    }
+
+    /// Every term in `terms` holds on `input`, and `input` sets only the
+    /// fields named in `allowed`.
+    fn holds(
+        pool: &TermPool,
+        fields: &FieldTable,
+        input: &ConcreteState,
+        terms: &[TermId],
+        allowed: &[&str],
+    ) -> bool {
+        let env = |v| Some(input.get(fields, fields.get(pool.var_name(v))?));
+        terms
+            .iter()
+            .all(|&c| pool.eval(c, &env) == Some(EvalValue::Bool(true)))
+            && input.iter().all(|(f, _)| allowed.contains(&fields.name(f)))
+    }
+
+    /// A chunk whose middle template ends in a hash post-filter rejection,
+    /// next to one whose intent `given` is unsatisfiable: the solver is
+    /// back at depth 0 after every template, the templates after the
+    /// rejection are planned and valid, and no field of an earlier
+    /// template leaks into a later template's input.
+    #[test]
+    fn a_skipped_template_leaves_the_chunk_solver_clean() {
+        let mut pool = TermPool::new();
+        let mut fields = FieldTable::new();
+        fields.intern("x", 8);
+        fields.intern("y", 8);
+        fields.intern("dst", 32);
+        fields.intern("h", 16);
+        let (x, y) = (pool.var("x", 8), pool.var("y", 8));
+        let (dst, h) = (pool.var("dst", 32), pool.var("h", 16));
+        let c = |pool: &mut TermPool, w, v| pool.bv_const(Bv::new(w, v));
+        let k7 = c(&mut pool, 8, 7);
+        let x_is_7 = pool.eq(x, k7);
+        // The path pins dst and demands a hash output crc16(dst) never has.
+        let k42 = c(&mut pool, 32, 42);
+        let dst_is_42 = pool.eq(dst, k42);
+        let real = HashAlg::Crc16.compute(16, &[Bv::new(32, 42)]);
+        let wrong = c(&mut pool, 16, real.val() ^ 1);
+        let h_wrong = pool.eq(h, wrong);
+        let k0 = c(&mut pool, 8, 0);
+        let y_is_0 = pool.eq(y, k0);
+        let k3 = c(&mut pool, 8, 3);
+        let x_lt_3 = pool.ult(x, k3);
+        let k1 = c(&mut pool, 8, 1);
+        let given = pool.eq(y, k1);
+        let obligation = HashObligation {
+            alg: HashAlg::Crc16,
+            width: 16,
+            keys: vec![dst],
+            out: h,
+        };
+        let chunk = vec![
+            template(0, vec![x_is_7], vec![]),
+            template(1, vec![dst_is_42, h_wrong], vec![obligation]),
+            template(2, vec![y_is_0], vec![]),
+            template(3, vec![x_lt_3], vec![]),
+        ];
+        let mut solver = Solver::new();
+        let planned: Vec<Planned> = chunk
+            .iter()
+            .map(|t| {
+                let p = plan_template(t, &mut solver, &mut pool, &fields, &[given], 2);
+                assert_eq!(solver.depth(), 0, "template {} left frames open", t.id);
+                p
+            })
+            .collect();
+        // `plan_chunk` is the same walk on a solver of its own.
+        let again = plan_chunk(&chunk, &mut pool, &fields, &[given], 2);
+        for (a, b) in planned.iter().zip(&again) {
+            assert_eq!((&a.distinct, &a.intents), (&b.distinct, &b.intents));
+        }
+
+        assert_eq!(planned[0].distinct.len(), 1, "x == 7 has one input");
+        assert!(
+            planned[1].distinct.is_empty(),
+            "hash filter rejects template 1"
+        );
+        assert!(planned[1].intents.is_empty(), "and its intent case");
+        assert_eq!(planned[2].distinct.len(), 1, "y == 0 has one input");
+        assert!(planned[2].intents.is_empty(), "y == 1 contradicts y == 0");
+        assert!(holds(
+            &pool,
+            &fields,
+            &planned[2].distinct[0],
+            &[y_is_0],
+            &["y"]
+        ));
+        let later = &planned[3];
+        assert_eq!(later.distinct.len(), 2);
+        assert_ne!(
+            later.distinct[0], later.distinct[1],
+            "distinct rounds differ"
+        );
+        for input in &later.distinct {
+            assert!(holds(&pool, &fields, input, &[x_lt_3], &["x"]), "{input:?}");
+        }
+        assert_eq!(later.intents.len(), 1);
+        assert!(holds(
+            &pool,
+            &fields,
+            &later.intents[0],
+            &[x_lt_3, given],
+            &["x", "y"]
+        ));
+    }
+
+    /// A template count that is not a multiple of [`PLAN_CHUNK`] plans its
+    /// last, partial chunk too, identically at every worker count.
+    #[test]
+    fn a_partial_last_chunk_is_planned() {
+        let src = r#"
+            header pkt { d: 8; }
+            metadata meta { out: 9; }
+            parser p { state start { extract(pkt); accept; } }
+            action fwd(v: 9) { meta.out = v; }
+            table t { key = { hdr.pkt.d: exact; } actions = { fwd; } default_action = fwd(0); }
+            control c { apply(t); }
+            pipeline main { parser = p; control = c; }
+            deparser { emit(pkt); }
+        "#;
+        let rules = "rules t { 1 => fwd(1); 2 => fwd(2); }";
+        let program = compile(&parse_program(src).unwrap(), &parse_rules(rules).unwrap()).unwrap();
+        let mut run = Meissa::new().run(&program);
+        let base = std::mem::take(&mut run.templates);
+        assert!(!base.is_empty());
+        let count = 2 * PLAN_CHUNK + 3;
+        run.templates = (0..count)
+            .map(|id| TestTemplate {
+                id,
+                ..base[id % base.len()].clone()
+            })
+            .collect();
+        let mut plans = Vec::new();
+        for threads in [1, 3] {
+            run.threads = threads;
+            let plan = plan_cases(&program, &mut run, 1);
+            let planned: Vec<usize> = plan
+                .iter()
+                .filter_map(|c| match c {
+                    CaseSpec::Case { template_id, .. } => Some(*template_id),
+                    CaseSpec::Skip { .. } => None,
+                })
+                .collect();
+            assert_eq!(planned, (0..count).collect::<Vec<_>>(), "{threads} workers");
+            plans.push(format!("{plan:?}"));
+        }
+        assert_eq!(plans[0], plans[1], "the plan depends on the worker count");
     }
 }
 

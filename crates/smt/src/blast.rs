@@ -14,7 +14,6 @@ use meissa_num::Bv;
 use std::collections::HashMap;
 
 /// The bit-blaster: caches per-term encodings and variable bit vectors.
-#[derive(Clone)]
 pub struct Blaster {
     /// SAT literal that is constrained to be true.
     true_lit: Lit,

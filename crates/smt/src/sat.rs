@@ -94,7 +94,6 @@ pub enum SatResult {
     Unsat,
 }
 
-#[derive(Clone)]
 struct Clause {
     lits: Vec<Lit>,
 }
@@ -108,7 +107,7 @@ struct Watch {
 }
 
 /// An indexed max-heap over variable activity (the VSIDS order).
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct OrderHeap {
     heap: Vec<Var>,
     /// Position of each var in `heap`, or `usize::MAX` if absent.
@@ -210,7 +209,6 @@ pub struct SatStats {
 }
 
 /// The CDCL SAT solver.
-#[derive(Clone)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watch>>,

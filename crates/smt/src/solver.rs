@@ -82,7 +82,6 @@ pub struct SolverStats {
     pub max_depth: u64,
 }
 
-#[derive(Clone)]
 struct Frame {
     activation: Lit,
     /// True if some assertion in this frame folded to the constant `false`.
@@ -90,14 +89,6 @@ struct Frame {
 }
 
 /// An incremental bitvector SMT solver.
-///
-/// `Clone` copies the complete state — clause database, learned clauses,
-/// heuristic scores, blaster caches and the last model — so a clone and
-/// its original answer every later interaction identically, and solving
-/// one leaves the other untouched. Cloning a solver that holds a set of
-/// assertions is how a caller reuses one bit-blasting of them across
-/// several independent queries.
-#[derive(Clone)]
 pub struct Solver {
     sat: SatSolver,
     blaster: Option<Blaster>, // lazily created so `Solver::new` needs no pool

@@ -4,9 +4,11 @@
 //! programmatic `obs::trace_to`, which is what the env var resolves to),
 //! and at both `MEISSA_THREADS=1` and `=4`. If instrumentation ever
 //! perturbs exploration order, solver counters, or template rendering,
-//! this test is the tripwire.
+//! this test is the tripwire. It also checks that the case planner's
+//! `driver.plan.chunk` spans account for every planned case.
 
 use meissa_core::{Meissa, MeissaConfig};
+use meissa_driver::{plan_cases, CaseSpec, PLAN_CHUNK};
 use meissa_suite::gw::{gw, GwScale};
 use meissa_testkit::obs;
 
@@ -121,6 +123,43 @@ fn gw3_output_identical_with_tracing_on_and_off_across_threads() {
             );
         }
     }
+
+    // Planning: one `driver.plan.chunk` span per chunk of templates, and
+    // the chunks' fields add up to the plan.
+    obs::trace_to(&trace_path);
+    let w = gw(3, GwScale { eips: 4 });
+    let mut run = Meissa { config: config(2) }.run(&w.program);
+    let _ = obs::drain();
+    let plan = plan_cases(&w.program, &mut run, 1);
+    let records = obs::drain();
+    obs::trace_off();
+    let mut sums = [0u64; 3];
+    let mut chunks = 0;
+    for r in &records {
+        if let obs::Record::Span {
+            name: "driver.plan.chunk",
+            fields,
+            ..
+        } = r
+        {
+            chunks += 1;
+            for (i, key) in ["templates", "cases", "skipped"].iter().enumerate() {
+                sums[i] += fields.iter().find(|(k, _)| k == key).map_or(0, |&(_, v)| v);
+            }
+        }
+    }
+    let skips = plan
+        .iter()
+        .filter(|c| matches!(c, CaseSpec::Skip { .. }))
+        .count() as u64;
+    assert_eq!(
+        chunks,
+        run.templates.len().div_ceil(PLAN_CHUNK),
+        "one span per chunk"
+    );
+    assert_eq!(sums[0], run.templates.len() as u64, "chunk templates");
+    assert_eq!(sums[1], plan.len() as u64 - skips, "chunk cases");
+    assert_eq!(sums[2], skips, "chunk skips");
 
     let _ = std::fs::remove_file(&trace_path);
 }

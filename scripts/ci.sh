@@ -45,6 +45,19 @@ echo "MEISSA_PROP_SEED=$INDEX_SEED"
 MEISSA_PROP_SEED="$INDEX_SEED" cargo test -q --offline -p meissa-suite --test target_index \
   indexed_lookup_matches_the_scan
 
+echo "==> plan validity oracle: warm-solver plans on fresh random gw-3 rule sets"
+# The case planner solves a whole chunk of templates on one solver, so
+# every planned input is checked against its own template: constraints
+# and hash obligations, the template's path, intent givens, distinct
+# rounds, no field leaked from an earlier template, and the same skips as
+# fresh planning. The test ran above under the harness's fixed seed; this
+# run draws new random gw-3 rule sets (plus the fixed gw-1/64 and gw-3/8
+# programs), with the seed printed so a failure reproduces with
+# MEISSA_PROP_SEED=<seed>.
+PLAN_SEED="$(date +%s)"
+echo "MEISSA_PROP_SEED=$PLAN_SEED"
+MEISSA_PROP_SEED="$PLAN_SEED" cargo test -q --offline -p meissa-suite --test plan_determinism
+
 echo "==> loopback smoke test: gw-3 through the wire driver"
 # Spawns the switch agent on an ephemeral loopback port and streams the
 # gw-3 suite through the TCP sender/receiver/checker (transport faults
