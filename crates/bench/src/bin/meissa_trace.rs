@@ -9,7 +9,7 @@
 //! The report mode prints, for every `engine.run` span in the file:
 //! phase wall time (summary vs. exec vs. unattributed), the per-worker
 //! table from `parallel.worker` spans (tasks, steals, busy solve time),
-//! and the solver cache/batch counters the engine stamped on the run
+//! and the solver and batch counters the engine stamped on the run
 //! span — the same values `RunStats` reports, so the trace reconciles
 //! with the engine's own accounting. Wire-driver traces get the same
 //! treatment via `wire.run`/`wire.conn` spans. A final section shows the

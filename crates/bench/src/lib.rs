@@ -34,17 +34,13 @@ pub struct EngineRun {
     /// (Fig. 11c/12c metric).
     pub log10_paths: f64,
     /// SAT-engine invocations behind the checks — the cost `smt_checks`
-    /// alone hides: fast paths, verdict-cache hits, model reuse, and
-    /// batched assumption probes all answer checks without one.
+    /// alone hides: fast paths, model reuse, and batched assumption probes
+    /// all answer checks without one.
     pub sat_engine_calls: u64,
     /// Sibling-arm probes answered through batched `check_under` calls.
     pub batched_probes: u64,
     /// Batched sibling probes issued (≥ 2 arms each).
     pub arm_batches: u64,
-    /// Verdict-cache lookups issued by arm pruning.
-    pub cache_probes: u64,
-    /// Verdict-cache lookups answered without touching the solver.
-    pub cache_hits: u64,
     /// True when the time budget expired.
     pub timed_out: bool,
 }
@@ -59,8 +55,6 @@ impl ToJson for EngineRun {
             ("sat_engine_calls".into(), self.sat_engine_calls.to_json()),
             ("batched_probes".into(), self.batched_probes.to_json()),
             ("arm_batches".into(), self.arm_batches.to_json()),
-            ("cache_probes".into(), self.cache_probes.to_json()),
-            ("cache_hits".into(), self.cache_hits.to_json()),
             ("timed_out".into(), self.timed_out.to_json()),
         ])
     }
@@ -94,16 +88,6 @@ impl FromJson for EngineRun {
                 .ok()
                 .map_or(Ok(0), FromJson::from_json)
                 .map_err(|e: JsonError| e.context("EngineRun.arm_batches"))?,
-            cache_probes: v
-                .field("cache_probes")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.cache_probes"))?,
-            cache_hits: v
-                .field("cache_hits")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.cache_hits"))?,
             timed_out: FromJson::from_json(v.field("timed_out")?)
                 .map_err(|e: JsonError| e.context("EngineRun.timed_out"))?,
         })
@@ -123,8 +107,6 @@ pub fn measure(w: &Workload, config: MeissaConfig) -> EngineRun {
         sat_engine_calls: out.stats.solver.sat_engine_calls,
         batched_probes: out.stats.batched_probes,
         arm_batches: out.stats.arm_batches,
-        cache_probes: out.stats.cache_probes,
-        cache_hits: out.stats.cache_hits,
         timed_out: out.stats.timed_out,
     }
 }
@@ -213,8 +195,6 @@ mod tests {
             sat_engine_calls: 7,
             batched_probes: 6,
             arm_batches: 2,
-            cache_probes: 8,
-            cache_hits: 3,
             timed_out: false,
         };
         assert_eq!(cell(&ok), "1.23s");

@@ -150,11 +150,6 @@ pub struct RunStats {
     /// Cumulative SAT-engine counters (propagations, conflicts, decisions)
     /// across every solver the run retired.
     pub sat: SatStats,
-    /// Early-termination probes that consulted the session's verdict cache,
-    /// across both phases (summary + final DFS).
-    pub cache_probes: u64,
-    /// Probes answered from the verdict cache without invoking the solver.
-    pub cache_hits: u64,
     /// Sibling-arm probes routed through the batched assumption API
     /// ([`meissa_smt::Solver::check_under`]) instead of individual
     /// `push/assert/check/pop` cycles. Each batched arm still counts as one
@@ -180,16 +175,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Fraction of early-termination probes the session verdict cache
-    /// answered without the solver (`0.0` when no probe was issued).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_probes as f64
-        }
-    }
-
     /// Mean number of sibling arms per batched probe (`0.0` when no batch
     /// was issued) — the fan-in `check_under` amortizes per branch point.
     pub fn arms_per_batch(&self) -> f64 {
@@ -320,9 +305,7 @@ impl Meissa {
             }
         };
         // The session's cumulative exec counters saw every exploration of
-        // both phases, so they carry the run-wide cache totals.
-        stats.cache_probes = session.exec.cache_probes;
-        stats.cache_hits = session.exec.cache_hits;
+        // both phases, so they carry the run-wide batch totals.
         stats.batched_probes = session.exec.batched_probes;
         stats.arm_batches = session.exec.arm_batches;
         stats.solver = session.solver_stats();
@@ -353,8 +336,6 @@ impl Meissa {
             run_span.field("threads", self.config.threads as u64);
             run_span.field("templates", templates.len() as u64);
             run_span.field("smt_checks", stats.smt_checks);
-            run_span.field("cache_probes", stats.cache_probes);
-            run_span.field("cache_hits", stats.cache_hits);
             run_span.field("batched_probes", stats.batched_probes);
             run_span.field("arm_batches", stats.arm_batches);
             run_span.field("sat_engine_calls", stats.solver.sat_engine_calls);
@@ -437,11 +418,6 @@ pub(crate) fn ledger_append_run(
             Json::UInt(stats.paths_explored as u128),
         ),
         ("pruned".to_string(), Json::UInt(stats.pruned as u128)),
-        (
-            "cache_probes".to_string(),
-            Json::UInt(stats.cache_probes as u128),
-        ),
-        ("cache_hits".to_string(), Json::UInt(stats.cache_hits as u128)),
         (
             "batched_probes".to_string(),
             Json::UInt(stats.batched_probes as u128),
@@ -697,9 +673,7 @@ mod tests {
         let cp = program();
         let out = Meissa::new().run(&cp);
         assert!(out.stats.smt_checks > 0);
-        assert!(out.stats.cache_probes > 0, "full config probes the cache");
-        assert!(out.stats.cache_hits <= out.stats.cache_probes);
-        assert!((0.0..=1.0).contains(&out.stats.cache_hit_rate()));
+        assert!(out.stats.arm_batches > 0, "full config batches sibling arms");
         assert!(!out.stats.paths_before.is_zero());
         assert_eq!(out.stats.valid_paths as usize, out.templates.len());
         // Single-pipeline program: the engine skips the summary pass.

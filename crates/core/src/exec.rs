@@ -184,16 +184,11 @@ pub struct ExecStats {
     pub pruned: u64,
     /// SMT checks issued.
     pub smt_checks: u64,
-    /// Early-termination probes that consulted the session's verdict cache
-    /// (incremental + early-termination configuration only).
-    pub cache_probes: u64,
-    /// Probes answered from the verdict cache without invoking the solver.
-    pub cache_hits: u64,
     /// Sibling-arm probes issued through batched branch expansion
-    /// ([`crate::session::SolveSession::probe_arms`] /
-    /// [`meissa_smt::Solver::check_under`]). Each batched arm still counts
-    /// one `smt_checks`, so this splits the Fig. 11b metric by probing
-    /// style rather than adding to it.
+    /// ([`meissa_smt::Solver::check_under`]; incremental + early-termination
+    /// configuration only). Each batched arm still counts one `smt_checks`,
+    /// so this splits the Fig. 11b metric by probing style rather than
+    /// adding to it.
     pub batched_probes: u64,
     /// Branch points whose sibling arms were probed as one batch.
     pub arm_batches: u64,
@@ -466,30 +461,11 @@ pub(crate) fn explore_task(
 ) -> ExecStats {
     let mut stats = ExecStats::default();
     let t0 = Instant::now();
-    let SolveSession {
-        pool,
-        solver,
-        verdict_cache,
-        base_verdicts,
-        ..
-    } = session;
+    let SolveSession { pool, solver, .. } = session;
     solver.push();
     for &c in prefix_constraints {
         solver.assert_term(pool, c);
     }
-    // The verdict cache keys on the content hash of the *entire* current
-    // constraint set, so the prefix's conjunct hashes seed the stack. Only
-    // the incremental early-termination configuration probes it; the
-    // baselines skip the keying entirely.
-    let use_cache = config.incremental && config.early_termination;
-    let key_stack: Vec<u64> = if use_cache {
-        prefix_constraints
-            .iter()
-            .map(|&c| pool.term_hash(c))
-            .collect()
-    } else {
-        Vec::new()
-    };
     let mut walker = Walker {
         cfg,
         targets,
@@ -500,10 +476,9 @@ pub(crate) fn explore_task(
         sharer,
         all_constraints: prefix_constraints.to_vec(),
         trace: prefix_trace.to_vec(),
-        cache: verdict_cache,
-        base: base_verdicts.as_deref(),
-        key_stack,
-        use_cache,
+        // Only the incremental early-termination configuration decides
+        // sibling arms in batches; the baselines probe node by node.
+        batch_arms: config.incremental && config.early_termination,
         frames: Vec::new(),
     };
     let mut v = ValueStack::new();
@@ -539,22 +514,9 @@ struct Walker<'a> {
     /// re-solving and for template emission).
     all_constraints: Vec<TermId>,
     trace: Vec<NodeId>,
-    /// The session's `(constraint set) → verdict` cache: satisfiability of
-    /// a constraint set is context-free, so verdicts survive across tasks,
-    /// explorations, and solver resets within one session. This is what
-    /// lets a parallel worker that re-explores a familiar region after a
-    /// donation skip already-decided sibling arms.
-    cache: &'a mut std::collections::HashMap<u128, bool>,
-    /// Read-only verdicts inherited from the parent session (see
-    /// [`crate::session::SolveSession::base_verdicts`]); consulted after a
-    /// `cache` miss, never written.
-    base: Option<&'a std::collections::HashMap<u128, bool>>,
-    /// Pool-independent structural hashes of `all_constraints`, maintained
-    /// in lockstep (only when `use_cache`); their lane fold
-    /// ([`crate::session::verdict_key`]) is the cache key for the current
-    /// set.
-    key_stack: Vec<u64>,
-    use_cache: bool,
+    /// Decide each branch node's sibling arms in one batched probe
+    /// ([`Walker::decide_arms`]) instead of one check per child.
+    batch_arms: bool,
     /// The sibling ranges currently being walked, shallowest first.
     frames: Vec<Frame>,
 }
@@ -580,8 +542,6 @@ pub(crate) struct PreArm {
     /// The guard's conjuncts, sorted by structural hash; empty for a guard
     /// that folded to true (no solver frame).
     pub(crate) conjuncts: Vec<TermId>,
-    /// Structural hashes of `conjuncts`, in the same order.
-    pub(crate) hashes: Vec<u64>,
 }
 
 impl Walker<'_> {
@@ -614,47 +574,17 @@ impl Walker<'_> {
         }
     }
 
-    /// Early-termination probe: is the current constraint set unsatisfiable?
-    /// Under the incremental configuration the probe first consults the
-    /// session's verdict cache — satisfiability depends only on the
-    /// constraint set, so a set already decided by an earlier task (or an
-    /// earlier exploration in the same session) is answered without the
-    /// solver. A hit still counts one `smt_checks`, exactly like the folded
-    /// checks above, so the Fig. 11b "number of SMT calls" metric stays
-    /// comparable whether or not the cache intervenes. A cache miss checks
-    /// the incremental solver's live frames.
-    fn probe_unsat(&mut self, pool: &mut TermPool, solver: &mut Solver) -> bool {
-        if !self.use_cache {
-            return self.check(pool, solver) == CheckResult::Unsat;
-        }
-        self.stats.cache_probes += 1;
-        let key = crate::session::verdict_key(&self.key_stack);
-        if let Some(&unsat) = self
-            .cache
-            .get(&key)
-            .or_else(|| self.base.and_then(|b| b.get(&key)))
-        {
-            self.stats.cache_hits += 1;
-            self.stats.smt_checks += 1; // cached validity check
-            return unsat;
-        }
-        let unsat = solver.check(pool) == CheckResult::Unsat;
-        self.cache.insert(key, unsat);
-        unsat
-    }
-
     /// Decides the guards of a branch node's `Assume` children under the
     /// current value stack and returns the children left to walk, in
     /// order. A guard [`SymCtx::eval_const`] settles never reaches the
     /// pool; one that folds during translation is settled the same way —
     /// one folded validity check each, under Algorithm 1's accounting. The
     /// rest are probed in batched solver interactions
-    /// ([`crate::session::probe_arms_cached`] →
-    /// [`meissa_smt::Solver::check_under`]), counted per arm. Arms found
-    /// infeasible are pruned here and never visited. Markers, non-predicate
-    /// nodes, and every child under the non-caching baseline
-    /// configurations get no [`PreArm`] and fall back to the per-node
-    /// logic in `visit`.
+    /// ([`meissa_smt::Solver::check_under`] over the live frames), counted
+    /// per arm. Arms found infeasible are pruned here and never visited.
+    /// Markers, non-predicate nodes, and every child under the baseline
+    /// configurations (no `batch_arms`) get no [`PreArm`] and fall back to
+    /// the per-node logic in `visit`.
     ///
     /// Without a sharer the probes go out as one batch. With one, they go
     /// out [`PROBE_CHUNK`] at a time, and between chunks a hungry frontier
@@ -669,14 +599,13 @@ impl Walker<'_> {
         v: &ValueStack,
         children: &[NodeId],
     ) -> Arms {
-        if !self.use_cache {
+        if !self.batch_arms {
             return children.iter().map(|&c| (c, None)).collect();
         }
         let mut arms: Arms = Vec::new();
         // Positions in `arms` awaiting a probe, with their guards.
         let mut pending = Vec::new();
         let mut terms = Vec::new();
-        let mut arm_hashes = Vec::new();
         for &child in children {
             let b = match self.cfg.stmt(child) {
                 Stmt::Assume(b) if b != &meissa_ir::BExp::True => b,
@@ -706,11 +635,9 @@ impl Walker<'_> {
                     let mut conjuncts = Vec::new();
                     flatten_conjuncts(pool, t, &mut conjuncts);
                     conjuncts.sort_by_key(|&c| pool.term_hash(c));
-                    let hashes: Vec<u64> = conjuncts.iter().map(|&c| pool.term_hash(c)).collect();
                     pending.push(arms.len());
                     terms.push(t);
-                    arm_hashes.push(hashes.clone());
-                    arms.push((child, Some(PreArm { conjuncts, hashes })));
+                    arms.push((child, Some(PreArm { conjuncts })));
                 }
             }
         }
@@ -721,18 +648,9 @@ impl Walker<'_> {
                 Some(_) => (probed + PROBE_CHUNK).min(end),
                 None => end,
             };
-            let unsats = crate::session::probe_arms_cached(
-                pool,
-                solver,
-                self.cache,
-                self.base,
-                self.stats,
-                &self.key_stack,
-                &terms[probed..hi],
-                &arm_hashes[probed..hi],
-            );
-            for (&i, unsat) in pending[probed..hi].iter().zip(unsats) {
-                if unsat {
+            let verdicts = solver.check_under(pool, &terms[probed..hi]);
+            for (&i, verdict) in pending[probed..hi].iter().zip(verdicts) {
+                if verdict == CheckResult::Unsat {
                     skip[i] = true;
                     self.stats.pruned += 1;
                 }
@@ -867,10 +785,9 @@ impl Walker<'_> {
                 if !arm.conjuncts.is_empty() {
                     solver.push();
                     pushed = true;
-                    for (c, h) in arm.conjuncts.into_iter().zip(arm.hashes) {
+                    for c in arm.conjuncts {
                         solver.assert_term(pool, c);
                         self.all_constraints.push(c);
-                        self.key_stack.push(h);
                     }
                 }
             }
@@ -922,14 +839,12 @@ impl Walker<'_> {
                         // records the same constraint sequence.
                         self.all_constraints[before..]
                             .sort_by_key(|&c| pool.term_hash(c));
-                        for i in before..self.all_constraints.len() {
-                            let c = self.all_constraints[i];
+                        for &c in &self.all_constraints[before..] {
                             solver.assert_term(pool, c);
-                            if self.use_cache {
-                                self.key_stack.push(pool.term_hash(c));
-                            }
                         }
-                        if self.config.early_termination && self.probe_unsat(pool, solver) {
+                        if self.config.early_termination
+                            && self.check(pool, solver) == CheckResult::Unsat
+                        {
                             feasible = false;
                             self.stats.pruned += 1;
                         }
@@ -958,9 +873,6 @@ impl Walker<'_> {
         if pushed {
             solver.pop();
             self.all_constraints.truncate(constraints_mark);
-            if self.use_cache {
-                self.key_stack.truncate(constraints_mark);
-            }
         }
         self.trace.pop();
     }
@@ -1077,39 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn verdict_cache_answers_repeat_probes() {
-        let cfg = fig7_cfg(4);
-        let config = ExecConfig::default();
-        let mut session = SolveSession::new();
-        let first = generate_templates(&cfg, &mut session, &config);
-        assert!(
-            first.stats.cache_probes > 0,
-            "early-termination probes consult the cache"
-        );
-        assert_eq!(first.stats.cache_hits, 0, "a fresh session starts cold");
-        // Re-exploring the same CFG in the same session re-issues the same
-        // constraint sets; every probe is now answered from the cache.
-        let second = generate_templates(&cfg, &mut session, &config);
-        assert_eq!(second.stats.cache_probes, first.stats.cache_probes);
-        assert_eq!(
-            second.stats.cache_hits, second.stats.cache_probes,
-            "identical re-exploration hits on every probe"
-        );
-        assert_eq!(
-            second.stats.smt_checks, first.stats.smt_checks,
-            "hits count as checks, keeping the Fig. 11b metric comparable"
-        );
-        assert_eq!(second.templates.len(), first.templates.len());
-        // Session totals carry the cumulative counters.
-        assert_eq!(
-            session.exec.cache_probes,
-            first.stats.cache_probes + second.stats.cache_probes
-        );
-        assert_eq!(session.exec.cache_hits, second.stats.cache_hits);
-    }
-
-    #[test]
-    fn verdict_cache_is_off_in_baseline_modes() {
+    fn baseline_modes_never_batch_probes() {
         let cfg = fig7_cfg(3);
         for config in [
             ExecConfig {
@@ -1122,12 +1002,15 @@ mod tests {
             },
         ] {
             let mut session = SolveSession::new();
-            let a = generate_templates(&cfg, &mut session, &config);
-            let b = generate_templates(&cfg, &mut session, &config);
-            assert_eq!(a.stats.cache_probes, 0, "baselines never probe the cache");
-            assert_eq!(b.stats.cache_hits, 0);
-            assert_eq!(b.templates.len(), a.templates.len());
+            let out = generate_templates(&cfg, &mut session, &config);
+            assert_eq!(out.stats.arm_batches, 0, "baselines probe node by node");
+            assert_eq!(out.stats.batched_probes, 0);
+            assert_eq!(out.templates.len(), 3);
         }
+        let mut session = SolveSession::new();
+        let full = generate_templates(&cfg, &mut session, &ExecConfig::default());
+        assert!(full.stats.arm_batches > 0, "the full config batches sibling arms");
+        assert!(full.stats.batched_probes >= 2 * full.stats.arm_batches);
     }
 
     #[test]

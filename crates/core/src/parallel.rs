@@ -49,7 +49,7 @@ use meissa_smt::{TermId, TermNode, TermPool};
 use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One sibling-range task. Every worker pool is a fork of the main pool, so
@@ -537,8 +537,6 @@ pub(crate) fn explore_parallel(
         stats.valid_paths += out.session.exec.valid_paths;
         stats.pruned += out.session.exec.pruned;
         stats.smt_checks += out.session.exec.smt_checks;
-        stats.cache_probes += out.session.exec.cache_probes;
-        stats.cache_hits += out.session.exec.cache_hits;
         stats.batched_probes += out.session.exec.batched_probes;
         stats.arm_batches += out.session.exec.arm_batches;
         stats.timed_out |= out.session.exec.timed_out;
@@ -596,9 +594,8 @@ pub(crate) fn explore_batch(
 ) -> Vec<JobResult> {
     struct BatchWorkerOutput {
         session: SolveSession,
-        /// (job index, paths in worker pool, stats, defs in worker pool,
-        /// verdicts the job decided itself)
-        done: Vec<(usize, Vec<RawPath>, ExecStats, Vec<HashDef>, HashMap<u128, bool>)>,
+        /// (job index, paths in worker pool, stats, defs in worker pool)
+        done: Vec<(usize, Vec<RawPath>, ExecStats, Vec<HashDef>)>,
     }
     let mut threads = config.threads.max(1).min(jobs.len().max(1));
     if config.min_paths_per_worker > 0 {
@@ -610,24 +607,16 @@ pub(crate) fn explore_batch(
         threads = threads.min(cores);
     }
     let next = AtomicUsize::new(0);
-    // Workers see the main cache as a read-only snapshot: each job starts
-    // from the same warm base at every thread count, which is what makes
-    // per-job probe/hit/engine-call counters — and their batch sums —
-    // thread-invariant. What a job decides on top of the base it keeps
-    // locally; those discoveries are merged back below in job order.
-    let base: Arc<HashMap<u128, bool>> = Arc::new(session.verdict_cache.clone());
     let main_pool = &session.pool;
     let shared = main_pool.len() as u32;
     let outputs: Vec<BatchWorkerOutput> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let next = &next;
-                let base = base.clone();
                 s.spawn(move || {
                     // Fork the main pool once per worker: job prefixes are
                     // main-pool ids and need no translation on the way in.
                     let mut wsession = SolveSession::fork_from(main_pool);
-                    wsession.base_verdicts = Some(base);
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -649,11 +638,7 @@ pub(crate) fn explore_batch(
                             &mut |p| paths.push(p),
                         );
                         let defs: Vec<HashDef> = ctx.hash_defs().cloned().collect();
-                        // Emptying the local cache per job keeps every job's
-                        // counters a function of (job, base) alone — not of
-                        // which jobs this worker happened to run before.
-                        let found = wsession.take_discoveries();
-                        done.push((i, paths, stats, defs, found));
+                        done.push((i, paths, stats, defs));
                     }
                     BatchWorkerOutput {
                         session: wsession,
@@ -670,26 +655,16 @@ pub(crate) fn explore_batch(
 
     // Translate back in **job order** (not completion order) so main-pool
     // term-id assignment is deterministic.
-    #[allow(clippy::type_complexity)]
-    let mut by_job: Vec<Option<(usize, &Vec<RawPath>, ExecStats, &Vec<HashDef>, &HashMap<u128, bool>)>> =
-        (0..jobs.len()).map(|_| None).collect();
+    let mut by_job = vec![None; jobs.len()];
     for (w, out) in outputs.iter().enumerate() {
-        for (i, paths, stats, defs, found) in &out.done {
-            by_job[*i] = Some((w, paths, *stats, defs, found));
+        for (i, paths, stats, defs) in &out.done {
+            by_job[*i] = Some((w, paths, *stats, defs));
         }
     }
     let mut caches: Vec<HashMap<TermId, TermId>> = (0..outputs.len()).map(|_| HashMap::new()).collect();
     let mut results: Vec<JobResult> = Vec::with_capacity(jobs.len());
     for slot in by_job {
-        let (w, paths, stats, defs, found) = slot.expect("every job was executed");
-        // Fold the job's verdict discoveries into the main cache in job
-        // order — a later `explore_batch` (or sequential exploration) in
-        // the same session starts from the same warm cache regardless of
-        // which worker ran which job. Keys are pool-independent content
-        // hashes, so no translation is needed.
-        for (&k, &v) in found {
-            session.verdict_cache.entry(k).or_insert(v);
-        }
+        let (w, paths, stats, defs) = slot.expect("every job was executed");
         let wpool = &outputs[w].session.pool;
         let paths = paths
             .iter()
@@ -846,11 +821,6 @@ mod tests {
             assert_eq!(par.stats.paths_explored, seq.stats.paths_explored);
             assert_eq!(par.stats.pruned, seq.stats.pruned);
             assert_eq!(par.stats.smt_checks, seq.stats.smt_checks);
-            // Each predicate node probes exactly once regardless of which
-            // worker visits it (donated prefixes are re-asserted without
-            // re-probing); hit counts may differ — workers keep private
-            // verdict caches — but probe counts must not.
-            assert_eq!(par.stats.cache_probes, seq.stats.cache_probes);
         }
     }
 

@@ -10,36 +10,15 @@
 
 use crate::exec::ExecStats;
 use meissa_smt::sat::SatStats;
-use meissa_smt::{CheckResult, Solver, SolverStats, TermId, TermPool};
+use meissa_smt::{Solver, SolverStats, TermPool};
 use meissa_testkit::obs;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Live observability metrics for the session cache layer
-/// (`meissa_session_*` in the Prometheus exposition). Only touched when
-/// [`obs::active`].
-struct ObsMetrics {
-    cache_probes: Arc<obs::Counter>,
-    cache_hits: Arc<obs::Counter>,
-    arm_batch: Arc<obs::Histogram>,
-}
-
-fn obs_metrics() -> &'static ObsMetrics {
-    static M: OnceLock<ObsMetrics> = OnceLock::new();
-    M.get_or_init(|| ObsMetrics {
-        cache_probes: obs::counter("session.cache_probes"),
-        cache_hits: obs::counter("session.cache_hits"),
-        arm_batch: obs::histogram("session.arm_batch_size"),
-    })
-}
-
-/// Verdict of one branch-arm probe (see [`SolveSession::probe_arms`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// The prefix extended by the arm is satisfiable.
-    Sat,
-    /// The prefix extended by the arm is unsatisfiable.
-    Unsat,
+/// The batch-size histogram (`meissa_session_arm_batch_size` in the
+/// Prometheus exposition). Only touched when [`obs::active`].
+fn arm_batch_histogram() -> &'static Arc<obs::Histogram> {
+    static H: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
+    H.get_or_init(|| obs::histogram("session.arm_batch_size"))
 }
 
 /// One solving context: term pool + current incremental solver + cumulative
@@ -66,63 +45,6 @@ pub struct SolveSession {
     /// per-call stats (the incremental-check delta accounting previously
     /// kept by the `Explorer`).
     pub(crate) checks_consumed: u64,
-    /// `(canonical constraint set) → unsat?` verdicts from early-termination
-    /// probes. Satisfiability is context-free in the constraint set, so the
-    /// cache is sound across explorations, CFGs, and solver resets within
-    /// one session; a parallel worker re-exploring a familiar region after
-    /// a donation skips already-decided sibling arms. Keys are 128-bit
-    /// content hashes folded from per-conjunct structural hashes
-    /// ([`meissa_smt::TermPool::term_hash`]) — pool-independent like the
-    /// canonical renderings they replaced, but allocation-free per probe.
-    pub(crate) verdict_cache: HashMap<u128, bool>,
-    /// Read-only verdicts inherited from the parent session at fork time.
-    /// Consulted after a `verdict_cache` miss (a hit counts exactly like a
-    /// local one) but never written: `verdict_cache` then holds only what
-    /// this session decided itself, so a batched-exploration driver can
-    /// merge those *discoveries* back deterministically.
-    pub(crate) base_verdicts: Option<Arc<HashMap<u128, bool>>>,
-}
-
-/// One step of the order-sensitive 64-bit lane fold behind [`verdict_key`]
-/// (the same splitmix64 finalizer the term pool uses for structural hashes).
-#[inline]
-fn fold_step(mut h: u64, v: u64) -> u64 {
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_add(v);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-/// Running state of the two independently-seeded key lanes.
-#[derive(Clone, Copy)]
-pub(crate) struct KeyLanes(u64, u64);
-
-impl KeyLanes {
-    /// Seeds chosen so the two lanes diverge immediately; any fixed,
-    /// distinct pair works.
-    pub(crate) fn new() -> KeyLanes {
-        KeyLanes(0x6d65_6973_7361_2d61, 0x6d65_6973_7361_2d62)
-    }
-
-    pub(crate) fn fold(mut self, hashes: &[u64]) -> KeyLanes {
-        for &h in hashes {
-            self.0 = fold_step(self.0, h);
-            self.1 = fold_step(self.1, !h);
-        }
-        self
-    }
-
-    pub(crate) fn key(self) -> u128 {
-        (self.0 as u128) << 64 | self.1 as u128
-    }
-}
-
-/// The 128-bit verdict-cache key for a constraint set given as per-conjunct
-/// structural hashes: two independent order-sensitive lane folds,
-/// concatenated. Same sequence → same key on any pool; distinct sequences
-/// collide with probability ~2⁻¹²⁸.
-pub(crate) fn verdict_key(hashes: &[u64]) -> u128 {
-    KeyLanes::new().fold(hashes).key()
 }
 
 impl Default for SolveSession {
@@ -142,8 +64,9 @@ impl SolveSession {
     /// verbatim inside the worker — prefix constraints and value seeds need
     /// no translation on the way in, and
     /// [`meissa_smt::TermPool::import_from`] translates only worker-created
-    /// terms on the way back. Solver and counters start fresh; the caller
-    /// folds them back with [`SolveSession::merge_worker`] at join.
+    /// terms on the way back. Nothing else carries over: solver and
+    /// counters start fresh, and the caller folds the counters back with
+    /// [`SolveSession::merge_worker`] at join.
     pub fn fork_from(pool: &TermPool) -> Self {
         SolveSession {
             pool: pool.clone(),
@@ -152,22 +75,7 @@ impl SolveSession {
             retired: SolverStats::default(),
             retired_sat: SatStats::default(),
             checks_consumed: 0,
-            // Workers start cold: cloning the main cache would mostly copy
-            // entries for regions the worker never visits, and the merged
-            // counters should reflect what each worker actually decided.
-            // Drivers that *do* want inherited verdicts attach a read-only
-            // snapshot via `base_verdicts` instead.
-            verdict_cache: HashMap::new(),
-            base_verdicts: None,
         }
-    }
-
-    /// Takes the verdicts this session decided itself, leaving the local
-    /// cache empty. With a `base_verdicts` snapshot attached these are
-    /// exactly the *new* discoveries — what a batched driver merges back
-    /// into the parent cache in deterministic job order.
-    pub(crate) fn take_discoveries(&mut self) -> HashMap<u128, bool> {
-        std::mem::take(&mut self.verdict_cache)
     }
 
     /// Replaces the incremental solver with a fresh one, retiring its
@@ -213,59 +121,12 @@ impl SolveSession {
         delta
     }
 
-    /// Probes every sibling arm of a branch point in one batched solver
-    /// interaction: per arm the verdict cache is consulted first (keyed on
-    /// the content hash of `prefix ++ arm`, so verdicts survive across
-    /// explorations and pools), the misses go to
-    /// [`meissa_smt::Solver::check_under`] as one assumption batch over the
-    /// solver's current frame stack, and fresh verdicts are fed back into
-    /// the cache. The solver's live frames must assert exactly `prefix`.
-    ///
-    /// Every arm counts one check (cache hit or SAT run alike), keeping the
-    /// Fig. 11b metric identical to individual `push/assert/check/pop`
-    /// probing.
-    pub fn probe_arms(&mut self, prefix: &[TermId], arms: &[TermId]) -> Vec<Verdict> {
-        let prefix_hashes: Vec<u64> = prefix.iter().map(|&c| self.pool.term_hash(c)).collect();
-        let arm_hashes: Vec<Vec<u64>> = arms
-            .iter()
-            .map(|&a| {
-                // Key at conjunct granularity, sorted — the same shape the
-                // walker uses, so verdicts flow both ways through the cache.
-                let mut cs = Vec::new();
-                crate::exec::flatten_conjuncts(&self.pool, a, &mut cs);
-                let mut hs: Vec<u64> = cs.iter().map(|&c| self.pool.term_hash(c)).collect();
-                hs.sort_unstable();
-                hs
-            })
-            .collect();
-        let mut exec = ExecStats::default();
-        record_batch(&mut exec, arms.len());
-        let verdicts = probe_arms_cached(
-            &mut self.pool,
-            &mut self.solver,
-            &mut self.verdict_cache,
-            self.base_verdicts.as_deref(),
-            &mut exec,
-            &prefix_hashes,
-            arms,
-            &arm_hashes,
-        );
-        exec.smt_checks += self.take_new_checks();
-        self.record(&exec);
-        verdicts
-            .into_iter()
-            .map(|unsat| if unsat { Verdict::Unsat } else { Verdict::Sat })
-            .collect()
-    }
-
     /// Folds one exploration's per-call counters into the session totals.
     pub(crate) fn record(&mut self, delta: &ExecStats) {
         self.exec.paths_explored += delta.paths_explored;
         self.exec.valid_paths += delta.valid_paths;
         self.exec.pruned += delta.pruned;
         self.exec.smt_checks += delta.smt_checks;
-        self.exec.cache_probes += delta.cache_probes;
-        self.exec.cache_hits += delta.cache_hits;
         self.exec.batched_probes += delta.batched_probes;
         self.exec.arm_batches += delta.arm_batches;
         self.exec.elapsed += delta.elapsed;
@@ -308,74 +169,9 @@ pub(crate) fn record_batch(exec: &mut ExecStats, arms: usize) {
         exec.arm_batches += 1;
         exec.batched_probes += arms as u64;
         if obs::active() {
-            obs_metrics().arm_batch.record(arms as u64);
+            arm_batch_histogram().record(arms as u64);
         }
     }
-}
-
-/// The cache-then-batch probe shared by [`SolveSession::probe_arms`] and the
-/// walker's branch expansion (which holds the session's pool, solver, and
-/// cache as separate borrows). Per arm: one `cache_probes`; a hit answers
-/// from the cache (one `cache_hits`, one `smt_checks` — cached validity
-/// check); the misses go to one [`meissa_smt::Solver::check_under`] call
-/// whose per-arm `checks` the caller attributes via `take_new_checks`, and
-/// their verdicts are fed back into the cache. `prefix_hashes` are the
-/// live frames' per-conjunct content hashes in assertion order. Returns
-/// `unsat?` per arm, in order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn probe_arms_cached(
-    pool: &mut TermPool,
-    solver: &mut Solver,
-    cache: &mut HashMap<u128, bool>,
-    base: Option<&HashMap<u128, bool>>,
-    exec: &mut ExecStats,
-    prefix_hashes: &[u64],
-    arms: &[TermId],
-    arm_hashes: &[Vec<u64>],
-) -> Vec<bool> {
-    debug_assert_eq!(arms.len(), arm_hashes.len());
-    let obs_on = obs::active();
-    let prefix_lanes = KeyLanes::new().fold(prefix_hashes);
-    let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(arms.len());
-    let mut miss_terms: Vec<TermId> = Vec::new();
-    let mut miss_keys: Vec<u128> = Vec::new();
-    for (i, &arm) in arms.iter().enumerate() {
-        exec.cache_probes += 1;
-        let key = prefix_lanes.fold(&arm_hashes[i]).key();
-        if let Some(&unsat) = cache
-            .get(&key)
-            .or_else(|| base.and_then(|b| b.get(&key)))
-        {
-            // A base-snapshot hit counts exactly like a local one but is
-            // not copied down: `cache` stays "what this session decided".
-            exec.cache_hits += 1;
-            exec.smt_checks += 1; // cached validity check
-            verdicts.push(Some(unsat));
-        } else {
-            verdicts.push(None);
-            miss_terms.push(arm);
-            miss_keys.push(key);
-        }
-    }
-    if obs_on {
-        let m = obs_metrics();
-        m.cache_probes.add(arms.len() as u64);
-        m.cache_hits.add((arms.len() - miss_terms.len()) as u64);
-    }
-    let solved = solver.check_under(pool, &miss_terms);
-    let mut solved_it = solved.into_iter().zip(miss_keys);
-    verdicts
-        .into_iter()
-        .map(|v| match v {
-            Some(unsat) => unsat,
-            None => {
-                let (verdict, key) = solved_it.next().expect("one verdict per miss");
-                let unsat = verdict == CheckResult::Unsat;
-                cache.insert(key, unsat);
-                unsat
-            }
-        })
-        .collect()
 }
 
 /// `SolverStats` has no `Add` impl upstream; the session sums every counter
@@ -440,8 +236,6 @@ mod tests {
                 valid_paths: 2,
                 pruned: 1,
                 smt_checks: 9,
-                cache_probes: 6,
-                cache_hits: 2,
                 batched_probes: 4,
                 arm_batches: 2,
                 elapsed: std::time::Duration::from_millis(5),
@@ -452,8 +246,6 @@ mod tests {
                 valid_paths: 3,
                 pruned: 0,
                 smt_checks: 7,
-                cache_probes: 4,
-                cache_hits: 0,
                 batched_probes: 2,
                 arm_batches: 1,
                 elapsed: std::time::Duration::from_millis(4),
@@ -464,8 +256,6 @@ mod tests {
                 valid_paths: 0,
                 pruned: 2,
                 smt_checks: 5,
-                cache_probes: 3,
-                cache_hits: 1,
                 batched_probes: 0,
                 arm_batches: 0,
                 elapsed: std::time::Duration::from_millis(1),
@@ -518,8 +308,6 @@ mod tests {
         assert_eq!(main.exec.valid_paths, 5);
         assert_eq!(main.exec.pruned, 3);
         assert_eq!(main.exec.smt_checks, 21);
-        assert_eq!(main.exec.cache_probes, 13);
-        assert_eq!(main.exec.cache_hits, 3);
         assert_eq!(main.exec.batched_probes, 6);
         assert_eq!(main.exec.arm_batches, 3);
         assert!(!main.exec.timed_out);
@@ -585,8 +373,6 @@ mod tests {
             valid_paths: 2,
             pruned: 1,
             smt_checks: 5,
-            cache_probes: 4,
-            cache_hits: 2,
             batched_probes: 3,
             arm_batches: 1,
             elapsed: std::time::Duration::from_millis(2),
@@ -596,8 +382,8 @@ mod tests {
         s.record(&d);
         assert_eq!(s.exec.paths_explored, 6);
         assert_eq!(s.exec.smt_checks, 10);
-        assert_eq!(s.exec.cache_probes, 8);
-        assert_eq!(s.exec.cache_hits, 4);
+        assert_eq!(s.exec.batched_probes, 6);
+        assert_eq!(s.exec.arm_batches, 2);
         assert!(!s.exec.timed_out);
     }
 }

@@ -216,8 +216,6 @@ impl Meissa {
         stats.paths_explored = exec.stats.paths_explored;
         stats.pruned = exec.stats.pruned;
         stats.timed_out = exec.stats.timed_out;
-        stats.cache_probes = session.exec.cache_probes;
-        stats.cache_hits = session.exec.cache_hits;
         stats.batched_probes = session.exec.batched_probes;
         stats.arm_batches = session.exec.arm_batches;
         stats.solver = session.solver_stats();

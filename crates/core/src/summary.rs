@@ -132,13 +132,9 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
     }
 
     // One pipeline engine for every thread count. The batched loop runs
-    // each group search and seed extension as an `explore_batch` job over a
-    // worker session seeded with a read-only snapshot of the main verdict
-    // cache, so per-job counters are a function of (job, snapshot) alone —
-    // sequential and parallel summary used to disagree on
-    // `sat_engine_calls` (5121 vs 5217 on gw-3-r8) precisely because the
-    // sequential loop shared one accumulating cache while batch workers
-    // started cold.
+    // each group search and seed extension as an `explore_batch` job, and
+    // jobs share no verdicts, so per-job probe counters are a function of
+    // the job alone, whichever worker runs it.
     summarize_pipelines_batched(
         cfg,
         session,

@@ -11,9 +11,9 @@
 //! pin already holds and no re-solve can fail.
 //!
 //! Instantiation works on a caller's solver: [`TestTemplate::assert_on`]
-//! opens a frame with the template's constraints, and each instantiation
-//! runs in a frame of its own above it, so one solver can serve many
-//! instantiations and many templates in turn.
+//! opens a frame with the template's constraints and returns their
+//! variables, and each instantiation runs in a frame of its own above it,
+//! so one solver can serve many instantiations and many templates in turn.
 
 use crate::symstate::HashDef;
 use meissa_ir::{ConcreteState, FieldId, FieldTable, NodeId};
@@ -62,14 +62,17 @@ pub struct TestTemplate {
 }
 
 impl TestTemplate {
-    /// Opens a frame on `solver` holding this template's constraints. The
-    /// `_on` instantiation methods solve on top of it; the caller pops it
-    /// once it is done with the template.
-    pub fn assert_on(&self, solver: &mut Solver, pool: &mut TermPool) {
+    /// Opens a frame on `solver` holding this template's constraints and
+    /// returns the variables they mention, which the `_on` instantiation
+    /// methods take so that every instantiation reads them without walking
+    /// the constraints again. Those methods solve on top of the frame; the
+    /// caller pops it once it is done with the template.
+    pub fn assert_on(&self, solver: &mut Solver, pool: &mut TermPool) -> Vec<VarId> {
         solver.push();
         for &c in &self.constraints {
             solver.assert_term(pool, c);
         }
+        vars_of(pool, &self.constraints)
     }
 
     /// Instantiates the template into a concrete input state on a fresh
@@ -86,30 +89,17 @@ impl TestTemplate {
         extra: &[TermId],
     ) -> Option<ConcreteState> {
         let mut solver = Solver::new();
-        self.assert_on(&mut solver, pool);
-        self.instantiate_on(&mut solver, pool, fields, extra)
+        let vars = self.assert_on(&mut solver, pool);
+        self.instantiate_on(&mut solver, pool, fields, &vars, extra)
     }
 
     /// [`TestTemplate::instantiate`] on a solver whose open frames hold this
-    /// template's constraints ([`TestTemplate::assert_on`]) and nothing
-    /// that contradicts them. The `extra` constraints and the hash repair
-    /// each get a frame of their own, popped before returning, so `solver`
-    /// is left at the depth it was found at and can go on to the next
-    /// instantiation or template.
+    /// template's constraints and nothing that contradicts them; `vars` is
+    /// what [`TestTemplate::assert_on`] returned. The `extra` constraints
+    /// and the hash repair each get a frame of their own, popped before
+    /// returning, so `solver` is left at the depth it was found at and can
+    /// go on to the next instantiation or template.
     pub fn instantiate_on(
-        &self,
-        solver: &mut Solver,
-        pool: &mut TermPool,
-        fields: &FieldTable,
-        extra: &[TermId],
-    ) -> Option<ConcreteState> {
-        let vars = vars_of(pool, &self.constraints);
-        self.instantiate_with(solver, pool, fields, &vars, extra)
-    }
-
-    /// [`TestTemplate::instantiate_on`] given `vars`, the variables of this
-    /// template's constraints.
-    fn instantiate_with(
         &self,
         solver: &mut Solver,
         pool: &mut TermPool,
@@ -123,7 +113,7 @@ impl TestTemplate {
         out
     }
 
-    /// The body of [`TestTemplate::instantiate_with`], inside its frame.
+    /// The body of [`TestTemplate::instantiate_on`], inside its frame.
     fn solve_and_read(
         &self,
         solver: &mut Solver,
@@ -223,28 +213,29 @@ impl TestTemplate {
         n: usize,
     ) -> Vec<ConcreteState> {
         let mut solver = Solver::new();
-        self.assert_on(&mut solver, pool);
-        self.instantiate_distinct_on(&mut solver, pool, fields, n)
+        let vars = self.assert_on(&mut solver, pool);
+        self.instantiate_distinct_on(&mut solver, pool, fields, &vars, n)
     }
 
     /// [`TestTemplate::instantiate_distinct`] on a solver prepared as for
-    /// [`TestTemplate::instantiate_on`]; every round runs in its own frame,
-    /// and `solver` is left at the depth it was found at.
+    /// [`TestTemplate::instantiate_on`], with the same `vars`; every round
+    /// runs in its own frame, and `solver` is left at the depth it was
+    /// found at.
     pub fn instantiate_distinct_on(
         &self,
         solver: &mut Solver,
         pool: &mut TermPool,
         fields: &FieldTable,
+        vars: &[VarId],
         n: usize,
     ) -> Vec<ConcreteState> {
-        let vars = vars_of(pool, &self.constraints);
         let mut out: Vec<ConcreteState> = Vec::new();
         let mut extra: Vec<TermId> = Vec::new();
         // The template's own non-auxiliary input fields, which later rounds
         // must not repeat; only needed once a second round is due.
         let mut used: Option<Vec<FieldId>> = None;
         while out.len() < n {
-            let Some(state) = self.instantiate_with(solver, pool, fields, &vars, &extra) else {
+            let Some(state) = self.instantiate_on(solver, pool, fields, vars, &extra) else {
                 break; // the remaining input space is exhausted
             };
             out.push(state);

@@ -192,12 +192,12 @@ fn plan_template(
     givens: &[TermId],
     packets_per_template: usize,
 ) -> Planned {
-    t.assert_on(solver, pool);
+    let vars = t.assert_on(solver, pool);
     let planned = Planned {
-        distinct: t.instantiate_distinct_on(solver, pool, fields, packets_per_template),
+        distinct: t.instantiate_distinct_on(solver, pool, fields, &vars, packets_per_template),
         intents: givens
             .iter()
-            .filter_map(|&g| t.instantiate_on(solver, pool, fields, &[g]))
+            .filter_map(|&g| t.instantiate_on(solver, pool, fields, &vars, &[g]))
             .collect(),
     };
     solver.pop();

@@ -41,15 +41,13 @@ fn render(config: MeissaConfig, with_solver: bool) -> (Vec<String>, String) {
     let s = &run.stats;
     let mut stats = format!(
         "valid={} before={} after={} explored={} pruned={} smt={} \
-         cache={}/{} batched={}/{}",
+         batched={}/{}",
         s.valid_paths,
         s.paths_before,
         s.paths_after,
         s.paths_explored,
         s.pruned,
         s.smt_checks,
-        s.cache_hits,
-        s.cache_probes,
         s.arm_batches,
         s.batched_probes,
     );

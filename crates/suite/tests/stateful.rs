@@ -51,18 +51,17 @@ fn template_line(
 
 /// The partition-independent slice of [`RunStats`]: probe- and path-level
 /// counters that must not move between the single-packet and k=1 sequence
-/// paths (solver-internal cache splits are timing-dependent under work
-/// stealing, so they are excluded — as in `parallel_determinism.rs`).
+/// paths (solver-internal splits are timing-dependent under work stealing,
+/// so they are excluded — as in `parallel_determinism.rs`).
 fn stats_line(s: &RunStats) -> String {
     format!(
-        "checks={} before={} after={} valid={} explored={} pruned={} probes={}",
+        "checks={} before={} after={} valid={} explored={} pruned={}",
         s.smt_checks,
         s.paths_before,
         s.paths_after,
         s.valid_paths,
         s.paths_explored,
         s.pruned,
-        s.cache_probes,
     )
 }
 

@@ -87,8 +87,9 @@ cargo run -q --offline --release -p meissa-bench --bin meissa-trace -- --check "
 
 echo "==> bench smoke: gw-3-r8 figures row vs goldens"
 # Runs the figures bench in smoke mode: one gw-3 (8-EIP) row through the
-# DFS and summary engines at threads=1, asserting smt_checks and template
-# counts against goldens. Catches silent drift in the Fig. 11b metric —
+# DFS and summary engines at threads=1, asserting the goldens it still
+# checks: smt_checks (12,648 DFS, 11,406 summary) and the 253-template
+# count on both. Catches silent drift in the Fig. 11b metric —
 # batched probing must keep one smt_check per probed arm — without paying
 # for the full bench sweep. With observability off (no MEISSA_TRACE here),
 # this also runs the disabled-path guard: a gated obs site must cost one
