@@ -139,7 +139,8 @@ pub struct RunStats {
     pub valid_paths: u64,
     /// Paths explored by the final DFS.
     pub paths_explored: u64,
-    /// Subtrees pruned by early termination.
+    /// Subtrees pruned by early termination, over the whole run (summary
+    /// and final DFS).
     pub pruned: u64,
     /// Per-pipeline summary stats.
     pub summary: Option<SummaryStats>,
@@ -199,7 +200,8 @@ pub struct RunOutput {
     pub stats: RunStats,
     /// The run's worker-thread count ([`MeissaConfig::threads`], at least
     /// 1). Consumers that parallelize work over the templates, such as the
-    /// driver's case planner, use it so one setting governs the whole run.
+    /// driver's case planner and its in-process case execution, use it so
+    /// one setting governs the whole run.
     pub threads: usize,
 }
 
@@ -299,13 +301,15 @@ impl Meissa {
                 stats.smt_checks += exec.stats.smt_checks;
                 stats.valid_paths = exec.stats.valid_paths;
                 stats.paths_explored = exec.stats.paths_explored;
-                stats.pruned = exec.stats.pruned;
                 stats.timed_out |= exec.stats.timed_out;
                 exec.templates
             }
         };
         // The session's cumulative exec counters saw every exploration of
-        // both phases, so they carry the run-wide batch totals.
+        // both phases, so they carry the run-wide prune and batch totals
+        // (a summary run whose Alg. 2 pass completed every path pruned
+        // only there).
+        stats.pruned = session.exec.pruned;
         stats.batched_probes = session.exec.batched_probes;
         stats.arm_batches = session.exec.arm_batches;
         stats.solver = session.solver_stats();
@@ -666,6 +670,15 @@ mod tests {
             multi.stats.rule_coverage, naive.stats.rule_coverage,
             "summary must not change rule attribution"
         );
+    }
+
+    #[test]
+    fn summary_runs_report_their_pruned_arms() {
+        let multi = Meissa::new().run(&two_pipe_program());
+        assert!(multi.stats.summary.is_some(), "summary must have run");
+        // t2 keys on the `meta.a` that t1 just set, so two of its three
+        // rule arms are infeasible after every t1 rule.
+        assert!(multi.stats.pruned > 0, "summary prunes infeasible t2 arms");
     }
 
     #[test]

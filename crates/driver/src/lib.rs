@@ -139,6 +139,19 @@ pub fn plan_cases(
     run: &mut RunOutput,
     packets_per_template: usize,
 ) -> Vec<CaseSpec> {
+    plan_chunks(program, run, packets_per_template)
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// [`plan_cases`], with the cases of each chunk of [`PLAN_CHUNK`]
+/// templates kept together: the units [`TestDriver::run`] executes.
+fn plan_chunks(
+    program: &CompiledProgram,
+    run: &mut RunOutput,
+    packets_per_template: usize,
+) -> Vec<Vec<CaseSpec>> {
     let mut ctx = meissa_core::symstate::SymCtx::new(None);
     let v0 = meissa_core::symstate::ValueStack::new();
     let givens: Vec<TermId> = program
@@ -147,26 +160,30 @@ pub fn plan_cases(
         .map(|i| ctx.bexp(&mut run.pool, &run.cfg.fields, &v0, &i.given))
         .collect();
     let planned = plan_templates(run, &givens, packets_per_template);
-    let mut cases = Vec::new();
+    let mut units = Vec::with_capacity(planned.len());
     let mut next_id: u64 = 1;
-    for (t, p) in run.templates.iter().zip(planned) {
-        let template_id = t.id;
-        if p.distinct.is_empty() {
-            cases.push(CaseSpec::Skip {
-                template_id,
-                reason: "template unsatisfiable at instantiation (hash filter)".into(),
-            });
+    for (chunk, planned) in run.templates.chunks(PLAN_CHUNK).zip(planned) {
+        let mut cases = Vec::new();
+        for (t, p) in chunk.iter().zip(planned) {
+            let template_id = t.id;
+            if p.distinct.is_empty() {
+                cases.push(CaseSpec::Skip {
+                    template_id,
+                    reason: "template unsatisfiable at instantiation (hash filter)".into(),
+                });
+            }
+            for input in p.distinct.into_iter().chain(p.intents) {
+                cases.push(CaseSpec::Case {
+                    template_id,
+                    wire_id: next_id,
+                    input,
+                });
+                next_id += 1;
+            }
         }
-        for input in p.distinct.into_iter().chain(p.intents) {
-            cases.push(CaseSpec::Case {
-                template_id,
-                wire_id: next_id,
-                input,
-            });
-            next_id += 1;
-        }
+        units.push(cases);
     }
-    cases
+    units
 }
 
 /// How many consecutive templates share one planning solver. Smaller
@@ -233,11 +250,10 @@ fn plan_chunk(
     planned
 }
 
-/// Plans every template of `run`, indexed like `run.templates`. Workers
-/// take the next unplanned chunk from a shared counter, so a slow chunk
-/// holds up only its own worker. The calling thread is the first worker;
-/// only the others are spawned.
-fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Planned> {
+/// Plans every template of `run`, one entry per chunk of [`PLAN_CHUNK`]
+/// templates, in template order. The calling thread plans on the run's
+/// pool and every helper on its own clone.
+fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Vec<Planned>> {
     let RunOutput {
         pool,
         cfg,
@@ -247,40 +263,59 @@ fn plan_templates(run: &mut RunOutput, givens: &[TermId], n: usize) -> Vec<Plann
     } = run;
     let fields = &cfg.fields;
     let chunks: Vec<&[TestTemplate]> = templates.chunks(PLAN_CHUNK).collect();
-    let workers = (*threads).min(chunks.len()).max(1);
+    on_workers(*threads, chunks.len(), pool, TermPool::clone, |pool, i| {
+        plan_chunk(chunks[i], pool, fields, givens, n)
+    })
+}
+
+/// Runs `work(state, i)` for every unit `i` in `0..units` on up to
+/// `threads` workers and returns the results in unit order, whichever
+/// worker ran each unit. Workers take the next unit from a shared counter,
+/// so a slow unit holds up only its own worker. The calling thread is the
+/// first worker and works on `own`; only the others are spawned, each on
+/// `fork(own)` taken before any unit starts, so one worker spawns nothing.
+fn on_workers<S: Send, R: Send>(
+    threads: usize,
+    units: usize,
+    own: &mut S,
+    fork: impl Fn(&S) -> S,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.min(units).max(1);
     let next = AtomicUsize::new(0);
-    let work = |pool: &mut TermPool| {
+    let drain = |state: &mut S| {
         let mut done = Vec::new();
         loop {
-            // Relaxed: the counter only hands out indices; the planned
-            // cases come back through `join`.
+            // Relaxed: the counter only hands out indices; the results
+            // come back through `join`.
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(chunk) = chunks.get(i) else {
+            if i >= units {
                 return done;
-            };
-            done.push((i, plan_chunk(chunk, pool, fields, givens, n)));
+            }
+            done.push((i, work(state, i)));
         }
     };
-    let mut slots: Vec<Option<Vec<Planned>>> = chunks.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = (0..units).map(|_| None).collect();
     std::thread::scope(|s| {
-        let work = &work;
+        let drain = &drain;
         let helpers: Vec<_> = (1..workers)
             .map(|_| {
-                let mut forked = pool.clone();
-                s.spawn(move || work(&mut forked))
+                let mut forked = fork(own);
+                s.spawn(move || drain(&mut forked))
             })
             .collect();
-        let own = work(pool);
-        let joined = helpers
-            .into_iter()
-            .flat_map(|h| h.join().expect("plan worker panicked"));
-        for (i, p) in own.into_iter().chain(joined) {
-            slots[i] = Some(p);
+        let mine = drain(own);
+        let joined = helpers.into_iter().flat_map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        for (i, r) in mine.into_iter().chain(joined) {
+            slots[i] = Some(r);
         }
     });
     slots
         .into_iter()
-        .flat_map(|p| p.expect("every chunk planned"))
+        .map(|r| r.expect("every unit ran"))
         .collect()
 }
 
@@ -511,28 +546,66 @@ impl<'p> TestDriver<'p> {
     /// engineers specify test-case-specific constraints" on top of Meissa's
     /// base constraints. This also yields deterministic boundary-value
     /// packets when a `given` pins a boundary (e.g. `src_port == 1024`).
+    ///
+    /// Once [`plan_cases`] has planned every case and assigned its
+    /// `wire_id`, `run.threads` workers serialize, inject into the
+    /// reference and `target`, and check the cases, taking the cases of
+    /// one [`PLAN_CHUNK`] of templates at a time from a shared counter (no
+    /// thread is spawned when `run.threads` is 1). Every chunk's results
+    /// go into that chunk's slot and the slots are joined in plan order,
+    /// so the report lists the same cases in the same order at every
+    /// worker count.
     pub fn run(&self, run: &mut RunOutput, target: &SwitchTarget) -> TestReport {
         let started = Instant::now();
+        let units = plan_chunks(self.program, run, self.packets_per_template);
+        let checked = on_workers(
+            run.threads,
+            units.len(),
+            &mut (),
+            |_| (),
+            |_, i| self.check_chunk(target, &units[i]),
+        );
         let mut report = TestReport::new(target.fault().name());
-        for spec in plan_cases(self.program, run, self.packets_per_template) {
-            match spec {
+        report.cases = checked.into_iter().flatten().collect();
+        report.elapsed = started.elapsed();
+        report
+    }
+
+    /// Checks one chunk's planned cases in order, and records a
+    /// `driver.exec.chunk` span when tracing is on.
+    fn check_chunk(&self, target: &SwitchTarget, specs: &[CaseSpec]) -> Vec<CaseResult> {
+        let mut span = obs::span("driver.exec.chunk");
+        let results: Vec<CaseResult> = specs
+            .iter()
+            .map(|spec| match spec {
                 CaseSpec::Skip {
                     template_id,
                     reason,
-                } => report.push(CaseResult::new(
-                    template_id,
-                    Verdict::Skipped { reason },
+                } => CaseResult::new(
+                    *template_id,
+                    Verdict::Skipped {
+                        reason: reason.clone(),
+                    },
                     Vec::new(),
-                )),
+                ),
                 CaseSpec::Case {
                     template_id,
                     wire_id,
                     input,
-                } => report.push(self.check_with_id(target, template_id, wire_id, &input)),
-            }
+                } => self.check_with_id(target, *template_id, *wire_id, input),
+            })
+            .collect();
+        if obs::active() {
+            let failed = results.iter().filter(|r| r.verdict.is_failure()).count();
+            let skipped = results
+                .iter()
+                .filter(|r| matches!(r.verdict, Verdict::Skipped { .. }))
+                .count();
+            span.field("cases", results.len() as u64);
+            span.field("failed", failed as u64);
+            span.field("skipped", skipped as u64);
         }
-        report.elapsed = started.elapsed();
-        report
+        results
     }
 
     /// Runs a single template (first packet only; `run` generates

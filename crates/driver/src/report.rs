@@ -35,6 +35,16 @@ pub enum Verdict {
     },
 }
 
+impl Verdict {
+    /// True for a failed case: an output mismatch or an intent violation.
+    pub(crate) fn is_failure(&self) -> bool {
+        matches!(
+            self,
+            Verdict::OutputMismatch { .. } | Verdict::IntentViolation { .. }
+        )
+    }
+}
+
 /// One test case's result.
 #[derive(Clone, Debug)]
 pub struct CaseResult {
@@ -101,15 +111,7 @@ impl TestReport {
 
     /// Number of failed cases (mismatches + intent violations).
     pub fn failed(&self) -> usize {
-        self.cases
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c.verdict,
-                    Verdict::OutputMismatch { .. } | Verdict::IntentViolation { .. }
-                )
-            })
-            .count()
+        self.cases.iter().filter(|c| c.verdict.is_failure()).count()
     }
 
     /// Number of skipped cases.

@@ -5,10 +5,14 @@
 //! and at both `MEISSA_THREADS=1` and `=4`. If instrumentation ever
 //! perturbs exploration order, solver counters, or template rendering,
 //! this test is the tripwire. It also checks that the case planner's
-//! `driver.plan.chunk` spans account for every planned case.
+//! `driver.plan.chunk` spans account for every planned case, that the
+//! in-process driver's `driver.exec.chunk` spans account for every
+//! reported case, and that the driver's verdicts do not move with
+//! tracing.
 
 use meissa_core::{Meissa, MeissaConfig};
-use meissa_driver::{plan_cases, CaseSpec, PLAN_CHUNK};
+use meissa_dataplane::{Fault, SwitchTarget};
+use meissa_driver::{plan_cases, CaseSpec, TestDriver, TestReport, PLAN_CHUNK};
 use meissa_suite::gw::{gw, GwScale};
 use meissa_testkit::obs;
 
@@ -158,6 +162,56 @@ fn gw3_output_identical_with_tracing_on_and_off_across_threads() {
     assert_eq!(sums[0], run.templates.len() as u64, "chunk templates");
     assert_eq!(sums[1], plan.len() as u64 - skips, "chunk cases");
     assert_eq!(sums[2], skips, "chunk skips");
+
+    // Execution: one `driver.exec.chunk` span per chunk, whose fields add
+    // up to the report, and the same verdicts and traces with tracing on
+    // and off. The target drops setValid(vxlan), so some cases fail.
+    let target = SwitchTarget::with_fault(
+        &w.program,
+        Fault::SetValidDropped {
+            header: "vxlan".into(),
+        },
+    );
+    let verdicts = |report: &TestReport| -> Vec<String> {
+        report
+            .cases
+            .iter()
+            .map(|c| format!("{} {:?} {:?}", c.template_id, c.verdict, c.trace))
+            .collect()
+    };
+    let mut run = Meissa { config: config(2) }.run(&w.program);
+    let off = TestDriver::new(&w.program).run(&mut run, &target);
+    obs::trace_to(&trace_path);
+    let mut run = Meissa { config: config(2) }.run(&w.program);
+    let _ = obs::drain();
+    let on = TestDriver::new(&w.program).run(&mut run, &target);
+    let records = obs::drain();
+    obs::trace_off();
+    let mut sums = [0u64; 3];
+    let mut chunks = 0;
+    for r in &records {
+        if let obs::Record::Span {
+            name: "driver.exec.chunk",
+            fields,
+            ..
+        } = r
+        {
+            chunks += 1;
+            for (i, key) in ["cases", "failed", "skipped"].iter().enumerate() {
+                sums[i] += fields.iter().find(|(k, _)| k == key).map_or(0, |&(_, v)| v);
+            }
+        }
+    }
+    assert!(on.found_bug(), "the dropped setValid is caught");
+    assert_eq!(
+        chunks,
+        run.templates.len().div_ceil(PLAN_CHUNK),
+        "one exec span per chunk"
+    );
+    assert_eq!(sums[0], on.cases.len() as u64, "exec chunk cases");
+    assert_eq!(sums[1], on.failed() as u64, "exec chunk failures");
+    assert_eq!(sums[2], on.skipped() as u64, "exec chunk skips");
+    assert_eq!(verdicts(&off), verdicts(&on), "verdicts move with tracing");
 
     let _ = std::fs::remove_file(&trace_path);
 }

@@ -114,6 +114,14 @@ echo "==> e2e benchmark: gw1-wide-verdicts correctness gate"
 cargo run -q --release --offline --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
   run --workload gw1-wide-verdicts --seed 0 --seconds 2
 
+echo "==> e2e benchmark: gw4-verdicts correctness gate"
+# The same gate on gw-4/set-4, the paper's headline program, where code
+# summary generates and the driver plans and checks 10,410 cases on the
+# run's two workers. It checks the template, rule-coverage and case-count
+# goldens and the dropped-setValid(vxlan) fault.
+cargo run -q --release --offline --manifest-path e2e-bench/Cargo.toml --bin e2e -- \
+  run --workload gw4-verdicts --seed 0 --seconds 2
+
 echo "==> stateful bench smoke: firewall unrolling sweep + sequence trace"
 # Runs the stateful unrolling sweep (sequence templates and time vs k on
 # the connection-tracking firewall, writing results/stateful_unroll.txt
