@@ -18,7 +18,6 @@
 use meissa_core::{Meissa, MeissaConfig, RunOutput};
 use meissa_num::BigUint;
 use meissa_suite::Workload;
-use meissa_testkit::json::{FromJson, Json, JsonError, ToJson};
 use std::time::{Duration, Instant};
 
 /// One engine measurement.
@@ -43,55 +42,6 @@ pub struct EngineRun {
     pub arm_batches: u64,
     /// True when the time budget expired.
     pub timed_out: bool,
-}
-
-impl ToJson for EngineRun {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("secs".into(), self.secs.to_json()),
-            ("smt_checks".into(), self.smt_checks.to_json()),
-            ("templates".into(), self.templates.to_json()),
-            ("log10_paths".into(), self.log10_paths.to_json()),
-            ("sat_engine_calls".into(), self.sat_engine_calls.to_json()),
-            ("batched_probes".into(), self.batched_probes.to_json()),
-            ("arm_batches".into(), self.arm_batches.to_json()),
-            ("timed_out".into(), self.timed_out.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EngineRun {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(EngineRun {
-            secs: FromJson::from_json(v.field("secs")?)
-                .map_err(|e: JsonError| e.context("EngineRun.secs"))?,
-            smt_checks: FromJson::from_json(v.field("smt_checks")?)
-                .map_err(|e: JsonError| e.context("EngineRun.smt_checks"))?,
-            templates: FromJson::from_json(v.field("templates")?)
-                .map_err(|e: JsonError| e.context("EngineRun.templates"))?,
-            log10_paths: FromJson::from_json(v.field("log10_paths")?)
-                .map_err(|e: JsonError| e.context("EngineRun.log10_paths"))?,
-            // Counters introduced after the first captured runs: absent in
-            // old JSON, so default to 0 rather than failing the parse.
-            sat_engine_calls: v
-                .field("sat_engine_calls")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.sat_engine_calls"))?,
-            batched_probes: v
-                .field("batched_probes")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.batched_probes"))?,
-            arm_batches: v
-                .field("arm_batches")
-                .ok()
-                .map_or(Ok(0), FromJson::from_json)
-                .map_err(|e: JsonError| e.context("EngineRun.arm_batches"))?,
-            timed_out: FromJson::from_json(v.field("timed_out")?)
-                .map_err(|e: JsonError| e.context("EngineRun.timed_out"))?,
-        })
-    }
 }
 
 /// Runs an engine configuration on a workload and collects the numbers.

@@ -14,7 +14,7 @@
 use crate::fields::{FieldId, FieldTable};
 use crate::hash::HashAlg;
 use meissa_num::Bv;
-use meissa_testkit::json::{tagged, untag, FromJson, Json, JsonError, ToJson};
+use meissa_testkit::json::{tagged, Json, ToJson};
 
 /// Arithmetic (bitvector) operators — `aop` in Fig. 3.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -293,19 +293,6 @@ impl ToJson for AOp {
     }
 }
 
-impl FromJson for AOp {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str().map_err(|e| e.context("AOp"))? {
-            "Add" => Ok(AOp::Add),
-            "Sub" => Ok(AOp::Sub),
-            "And" => Ok(AOp::And),
-            "Or" => Ok(AOp::Or),
-            "Xor" => Ok(AOp::Xor),
-            other => Err(JsonError::new(format!("unknown AOp `{other}`"))),
-        }
-    }
-}
-
 impl ToJson for BOp {
     fn to_json(&self) -> Json {
         Json::Str(
@@ -315,16 +302,6 @@ impl ToJson for BOp {
             }
             .into(),
         )
-    }
-}
-
-impl FromJson for BOp {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str().map_err(|e| e.context("BOp"))? {
-            "And" => Ok(BOp::And),
-            "Or" => Ok(BOp::Or),
-            other => Err(JsonError::new(format!("unknown BOp `{other}`"))),
-        }
     }
 }
 
@@ -341,20 +318,6 @@ impl ToJson for CmpOp {
             }
             .into(),
         )
-    }
-}
-
-impl FromJson for CmpOp {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str().map_err(|e| e.context("CmpOp"))? {
-            "Eq" => Ok(CmpOp::Eq),
-            "Ne" => Ok(CmpOp::Ne),
-            "Lt" => Ok(CmpOp::Lt),
-            "Gt" => Ok(CmpOp::Gt),
-            "Le" => Ok(CmpOp::Le),
-            "Ge" => Ok(CmpOp::Ge),
-            other => Err(JsonError::new(format!("unknown CmpOp `{other}`"))),
-        }
     }
 }
 
@@ -377,42 +340,6 @@ impl ToJson for AExp {
     }
 }
 
-impl FromJson for AExp {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = untag(v).map_err(|e| e.context("AExp"))?;
-        match tag {
-            "Field" => Ok(AExp::Field(FieldId::from_json(payload)?)),
-            "Const" => Ok(AExp::Const(Bv::from_json(payload)?)),
-            "Bin" => match payload.as_arr()? {
-                [op, a, b] => Ok(AExp::bin(
-                    AOp::from_json(op)?,
-                    AExp::from_json(a)?,
-                    AExp::from_json(b)?,
-                )),
-                _ => Err(JsonError::new("AExp::Bin needs [op, a, b]")),
-            },
-            "Not" => Ok(AExp::Not(Box::new(AExp::from_json(payload)?))),
-            "Shl" => match payload.as_arr()? {
-                [a, n] => Ok(AExp::Shl(Box::new(AExp::from_json(a)?), u16::from_json(n)?)),
-                _ => Err(JsonError::new("AExp::Shl needs [a, n]")),
-            },
-            "Shr" => match payload.as_arr()? {
-                [a, n] => Ok(AExp::Shr(Box::new(AExp::from_json(a)?), u16::from_json(n)?)),
-                _ => Err(JsonError::new("AExp::Shr needs [a, n]")),
-            },
-            "Hash" => match payload.as_arr()? {
-                [alg, w, args] => Ok(AExp::Hash(
-                    HashAlg::from_json(alg)?,
-                    u16::from_json(w)?,
-                    Vec::<AExp>::from_json(args)?,
-                )),
-                _ => Err(JsonError::new("AExp::Hash needs [alg, width, args]")),
-            },
-            other => Err(JsonError::new(format!("unknown AExp variant `{other}`"))),
-        }
-    }
-}
-
 impl ToJson for BExp {
     fn to_json(&self) -> Json {
         match self {
@@ -429,55 +356,11 @@ impl ToJson for BExp {
     }
 }
 
-impl FromJson for BExp {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = untag(v).map_err(|e| e.context("BExp"))?;
-        match tag {
-            "True" => Ok(BExp::True),
-            "False" => Ok(BExp::False),
-            "Cmp" => match payload.as_arr()? {
-                [op, a, b] => Ok(BExp::Cmp(
-                    CmpOp::from_json(op)?,
-                    AExp::from_json(a)?,
-                    AExp::from_json(b)?,
-                )),
-                _ => Err(JsonError::new("BExp::Cmp needs [op, a, b]")),
-            },
-            // Decode structurally (no smart constructor): round-trips must
-            // preserve the exact tree the encoder saw.
-            "Bin" => match payload.as_arr()? {
-                [op, a, b] => Ok(BExp::Bin(
-                    BOp::from_json(op)?,
-                    Box::new(BExp::from_json(a)?),
-                    Box::new(BExp::from_json(b)?),
-                )),
-                _ => Err(JsonError::new("BExp::Bin needs [op, a, b]")),
-            },
-            "Not" => Ok(BExp::Not(Box::new(BExp::from_json(payload)?))),
-            other => Err(JsonError::new(format!("unknown BExp variant `{other}`"))),
-        }
-    }
-}
-
 impl ToJson for Stmt {
     fn to_json(&self) -> Json {
         match self {
             Stmt::Assign(f, e) => tagged("Assign", Json::Arr(vec![f.to_json(), e.to_json()])),
             Stmt::Assume(b) => tagged("Assume", b.to_json()),
-        }
-    }
-}
-
-impl FromJson for Stmt {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = untag(v).map_err(|e| e.context("Stmt"))?;
-        match tag {
-            "Assign" => match payload.as_arr()? {
-                [f, e] => Ok(Stmt::Assign(FieldId::from_json(f)?, AExp::from_json(e)?)),
-                _ => Err(JsonError::new("Stmt::Assign needs [field, exp]")),
-            },
-            "Assume" => Ok(Stmt::Assume(BExp::from_json(payload)?)),
-            other => Err(JsonError::new(format!("unknown Stmt variant `{other}`"))),
         }
     }
 }
@@ -553,29 +436,5 @@ mod tests {
         assert!(Stmt::Assume(BExp::True).is_nop());
         assert!(!Stmt::Assume(BExp::False).is_nop());
         assert!(!Stmt::Assign(a, AExp::Const(Bv::zero(32))).is_nop());
-    }
-
-    #[test]
-    fn stmt_json_roundtrip() {
-        let (_, a, b) = table();
-        let stmts = [
-            Stmt::Assume(BExp::True),
-            Stmt::Assign(
-                a,
-                AExp::Hash(
-                    HashAlg::Crc32,
-                    32,
-                    vec![AExp::Shl(Box::new(AExp::Field(b)), 3)],
-                ),
-            ),
-            Stmt::Assume(BExp::not(BExp::eq(
-                AExp::bin(AOp::Xor, AExp::Field(a), AExp::Field(b)),
-                AExp::Const(Bv::zero(32)),
-            ))),
-        ];
-        for s in stmts {
-            let text = s.to_json_text();
-            assert_eq!(Stmt::from_json_text(&text).unwrap(), s, "via `{text}`");
-        }
     }
 }

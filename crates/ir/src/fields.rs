@@ -6,7 +6,7 @@
 //! variable `@ppl2.hdr.tcp.src_port`. Fields are interned into dense ids so
 //! that symbolic and concrete states are flat vectors/maps keyed by `u32`.
 
-use meissa_testkit::json::{FromJson, Json, JsonError, ToJson};
+use meissa_testkit::json::{Json, ToJson};
 use std::collections::HashMap;
 
 /// A dense handle for an interned field name.
@@ -16,12 +16,6 @@ pub struct FieldId(pub u32);
 impl ToJson for FieldId {
     fn to_json(&self) -> Json {
         Json::UInt(self.0 as u128)
-    }
-}
-
-impl FromJson for FieldId {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(FieldId(u32::from_json(v).map_err(|e| e.context("FieldId"))?))
     }
 }
 
@@ -108,31 +102,6 @@ impl ToJson for FieldTable {
             ("names".into(), self.names.to_json()),
             ("widths".into(), self.widths.to_json()),
         ])
-    }
-}
-
-impl FromJson for FieldTable {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let names = Vec::<String>::from_json(v.field("names")?)
-            .map_err(|e| e.context("FieldTable.names"))?;
-        let widths = Vec::<u16>::from_json(v.field("widths")?)
-            .map_err(|e| e.context("FieldTable.widths"))?;
-        if names.len() != widths.len() {
-            return Err(JsonError::new("FieldTable names/widths length mismatch"));
-        }
-        let by_name = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), FieldId(i as u32)))
-            .collect::<HashMap<_, _>>();
-        if by_name.len() != names.len() {
-            return Err(JsonError::new("FieldTable has duplicate field names"));
-        }
-        Ok(FieldTable {
-            names,
-            widths,
-            by_name,
-        })
     }
 }
 

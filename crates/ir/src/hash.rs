@@ -8,7 +8,7 @@
 //! semantics agree on hash values by construction.
 
 use meissa_num::Bv;
-use meissa_testkit::json::{FromJson, Json, JsonError, ToJson};
+use meissa_testkit::json::{Json, ToJson};
 
 /// Hash algorithms available to P4lite programs (Tofino exposes CRC-family
 /// hashes plus an identity/"straight-through" selector).
@@ -61,18 +61,6 @@ impl ToJson for HashAlg {
             }
             .into(),
         )
-    }
-}
-
-impl FromJson for HashAlg {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str().map_err(|e| e.context("HashAlg"))? {
-            "Crc16" => Ok(HashAlg::Crc16),
-            "Crc32" => Ok(HashAlg::Crc32),
-            "Identity" => Ok(HashAlg::Identity),
-            "Csum16" => Ok(HashAlg::Csum16),
-            other => Err(JsonError::new(format!("unknown HashAlg `{other}`"))),
-        }
     }
 }
 

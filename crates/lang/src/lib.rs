@@ -23,7 +23,6 @@
 
 pub mod ast;
 pub mod compile;
-pub mod json;
 pub mod lexer;
 pub mod lint;
 pub mod parser;

@@ -62,10 +62,20 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting of parentheses, conditions and control blocks
+/// [`parse_program`] accepts. The parser recurses once per level, so
+/// without a cap a few kilobytes of `((((…` overflow the parsing thread's
+/// stack; corpus programs nest fewer than a dozen levels.
+pub const MAX_NESTING: u32 = 64;
+
 /// Parses a whole P4lite program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut prog = p.program()?;
     prog.loc = crate::count_loc(src);
     Ok(prog)
@@ -74,6 +84,8 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 pub(crate) struct Parser {
     pub(crate) tokens: Vec<Token>,
     pub(crate) pos: usize,
+    /// Recursive productions currently open (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -160,6 +172,22 @@ impl Parser {
 
     fn at_kw(&self, word: &str) -> bool {
         matches!(self.peek(), Tok::Ident(s) if s == word)
+    }
+
+    /// Runs one recursive production, failing at the current line once
+    /// [`MAX_NESTING`] are open. The depth is restored on error too, since
+    /// `atom_cond` backtracks out of failed attempts.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
@@ -519,6 +547,10 @@ impl Parser {
     }
 
     fn ctrl_stmt(&mut self) -> Result<CtrlStmt, ParseError> {
+        self.nested(Self::ctrl_stmt_inner)
+    }
+
+    fn ctrl_stmt_inner(&mut self) -> Result<CtrlStmt, ParseError> {
         if self.at_kw("apply") {
             self.bump();
             self.expect(Tok::LParen)?;
@@ -616,6 +648,10 @@ impl Parser {
     }
 
     fn atom_cond(&mut self) -> Result<Cond, ParseError> {
+        self.nested(Self::atom_cond_inner)
+    }
+
+    fn atom_cond_inner(&mut self) -> Result<Cond, ParseError> {
         if self.eat(Tok::Bang) {
             let inner = self.atom_cond()?;
             return Ok(Cond::Not(Box::new(inner)));
@@ -738,6 +774,10 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary_expr_inner)
+    }
+
+    fn unary_expr_inner(&mut self) -> Result<Expr, ParseError> {
         if self.eat(Tok::Tilde) {
             let inner = self.unary_expr()?;
             return Ok(Expr::Not(Box::new(inner)));
@@ -1052,6 +1092,30 @@ mod tests {
         let e = parse_program(src).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bogus_item"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_at_its_line() {
+        let deep = |n: usize| {
+            format!(
+                "metadata meta {{ port: 9; }}\naction a() {{\n  meta.port = {}1{};\n}}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse_program(&deep(MAX_NESTING as usize - 2)).is_ok());
+        let e = parse_program(&deep(100_000)).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("nesting deeper"), "{}", e.message);
+
+        let conds = format!(
+            "control c {{\n{}apply(t);{}\n}}",
+            "if (!(meta.port == 1)) { ".repeat(100_000),
+            " }".repeat(100_000)
+        );
+        let e = parse_program(&conds).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("nesting deeper"), "{}", e.message);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use crate::lexer::{lex, Tok, Token};
 use crate::parser::ParseError;
-use meissa_testkit::json::{tagged, untag, FromJson, Json, JsonError, ToJson};
 use std::collections::HashMap;
 
 /// One key cell of a rule.
@@ -117,89 +116,6 @@ impl RuleSet {
             out.push_str("}\n");
         }
         out
-    }
-}
-
-impl ToJson for KeyMatch {
-    fn to_json(&self) -> Json {
-        match self {
-            KeyMatch::Exact(v) => tagged("Exact", Json::UInt(*v)),
-            KeyMatch::Prefix(v, l) => {
-                tagged("Prefix", Json::Arr(vec![Json::UInt(*v), l.to_json()]))
-            }
-            KeyMatch::Ternary(v, m) => {
-                tagged("Ternary", Json::Arr(vec![Json::UInt(*v), Json::UInt(*m)]))
-            }
-            KeyMatch::Range(a, b) => {
-                tagged("Range", Json::Arr(vec![Json::UInt(*a), Json::UInt(*b)]))
-            }
-            KeyMatch::Any => Json::Str("Any".into()),
-        }
-    }
-}
-
-impl FromJson for KeyMatch {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = untag(v).map_err(|e| e.context("KeyMatch"))?;
-        match tag {
-            "Exact" => Ok(KeyMatch::Exact(u128::from_json(payload)?)),
-            "Prefix" => match payload.as_arr()? {
-                [v, l] => Ok(KeyMatch::Prefix(u128::from_json(v)?, u16::from_json(l)?)),
-                _ => Err(JsonError::new("KeyMatch::Prefix needs [value, len]")),
-            },
-            "Ternary" => match payload.as_arr()? {
-                [v, m] => Ok(KeyMatch::Ternary(u128::from_json(v)?, u128::from_json(m)?)),
-                _ => Err(JsonError::new("KeyMatch::Ternary needs [value, mask]")),
-            },
-            "Range" => match payload.as_arr()? {
-                [a, b] => Ok(KeyMatch::Range(u128::from_json(a)?, u128::from_json(b)?)),
-                _ => Err(JsonError::new("KeyMatch::Range needs [lo, hi]")),
-            },
-            "Any" => Ok(KeyMatch::Any),
-            other => Err(JsonError::new(format!("unknown KeyMatch `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for Rule {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("keys".into(), self.keys.to_json()),
-            ("action".into(), self.action.to_json()),
-            ("args".into(), self.args.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Rule {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Rule {
-            keys: Vec::<KeyMatch>::from_json(v.field("keys")?)
-                .map_err(|e| e.context("Rule.keys"))?,
-            action: String::from_json(v.field("action")?)
-                .map_err(|e| e.context("Rule.action"))?,
-            args: Vec::<u128>::from_json(v.field("args")?)
-                .map_err(|e| e.context("Rule.args"))?,
-        })
-    }
-}
-
-impl ToJson for RuleSet {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tables".into(), self.tables.to_json()),
-            ("loc".into(), self.loc.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RuleSet {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RuleSet {
-            tables: HashMap::<String, Vec<Rule>>::from_json(v.field("tables")?)
-                .map_err(|e| e.context("RuleSet.tables"))?,
-            loc: usize::from_json(v.field("loc")?).map_err(|e| e.context("RuleSet.loc"))?,
-        })
     }
 }
 
@@ -420,17 +336,6 @@ mod tests {
     fn error_on_garbage() {
         assert!(parse_rules("rules t { => f(); }").is_err());
         assert!(parse_rules("notrules t { }").is_err());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let src = "rules t { 10.0.0.0/8, _ => go(1, 2); 80..443, 0x1 &&& 0xf => mark(); }";
-        let rs = parse_rules(src).unwrap();
-        let text = rs.to_json_text();
-        let back = RuleSet::from_json_text(&text).unwrap();
-        assert_eq!(back.rules_for("t"), rs.rules_for("t"));
-        assert_eq!(back.loc, rs.loc);
-        assert_eq!(back.to_json_text(), text, "stable re-encode");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests for the frontend's serialization round-trips.
+//! Property tests for the frontend's rule-text round-trip and LOC count.
 
 use meissa_lang::{parse_rules, KeyMatch, Rule, RuleSet};
 use meissa_testkit::prop::{self, G};
-use meissa_testkit::{prop_assert_eq, ToJson};
+use meissa_testkit::prop_assert_eq;
 
 fn arb_key(g: &mut G) -> KeyMatch {
     match g.index(5) {
@@ -37,24 +37,6 @@ fn rule_set_text_roundtrip() {
         let text = set.to_text();
         let back = parse_rules(&text).map_err(|e| format!("{e}\n{text}"))?;
         prop_assert_eq!(back.rules_for("t"), set.rules_for("t"));
-        Ok(())
-    });
-}
-
-/// JSON encode → decode is the identity on rule sets (and re-encoding is
-/// byte-stable).
-#[test]
-fn rule_set_json_roundtrip() {
-    use meissa_testkit::FromJson;
-    prop::check(prop::DEFAULT_CASES, |g| {
-        let mut set = RuleSet::new();
-        for _ in 0..g.len(1, 5) {
-            set.push("t", arb_rule(g));
-        }
-        let text = set.to_json_text();
-        let back = RuleSet::from_json_text(&text).map_err(|e| format!("{e}\n{text}"))?;
-        prop_assert_eq!(back.rules_for("t"), set.rules_for("t"));
-        prop_assert_eq!(back.to_json_text(), text);
         Ok(())
     });
 }

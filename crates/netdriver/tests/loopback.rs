@@ -266,3 +266,44 @@ fn agent_answers_bad_frames_with_err_and_keeps_serving() {
     drop(reader);
     agent.shutdown();
 }
+
+/// Nesting depth is client-controlled in both control inputs: a deeply
+/// nested JSON frame and a deeply nested P4lite program must each be
+/// answered with `Err` instead of overflowing the connection thread's
+/// stack (which aborts the whole agent), and the same connection must go
+/// on answering `Hello`.
+#[test]
+fn agent_refuses_deep_nesting_and_keeps_serving() {
+    let agent = Agent::spawn(None, None).unwrap();
+    let (mut writer, mut reader) = raw_conn(&agent);
+
+    let deep_json = format!("{{\"t\":{}", "[".repeat(20_000)).into_bytes();
+    let deep_program = format!(
+        "metadata meta {{ port: 9; }}\naction a() {{ meta.port = {}1{}; }}",
+        "(".repeat(5_000),
+        ")".repeat(5_000)
+    );
+    let load = encode_request(&Request::LoadProgram {
+        source: deep_program,
+        rules: String::new(),
+        fault: Fault::None,
+    });
+    for frame in [deep_json, load] {
+        write_frame(&mut writer, &frame).unwrap();
+        match decode_response(reader.next_frame().unwrap()).unwrap() {
+            Response::Err { msg } => assert!(msg.contains("nesting deeper"), "{msg}"),
+            other => panic!("expected Err for a deep frame, got {other:?}"),
+        }
+        let hello = Request::Hello {
+            version: PROTO_VERSION,
+        };
+        write_frame(&mut writer, &encode_request(&hello)).unwrap();
+        match decode_response(reader.next_frame().unwrap()).unwrap() {
+            Response::Hello { loaded, .. } => assert!(!loaded),
+            other => panic!("expected Hello after the deep frame, got {other:?}"),
+        }
+    }
+    drop(writer);
+    drop(reader);
+    agent.shutdown();
+}

@@ -5,7 +5,6 @@
 //! addition, multiplication, comparison, decimal rendering, and an
 //! approximate `log10` for plotting — on a base-`2^32` limb representation.
 
-use meissa_testkit::json::{FromJson, Json, JsonError, ToJson};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -150,21 +149,6 @@ impl BigUint {
     /// Number of decimal digits (1 for the value 0).
     pub fn decimal_digits(&self) -> usize {
         self.to_string().len()
-    }
-}
-
-impl ToJson for BigUint {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.limbs.iter().map(|&l| Json::UInt(l as u128)).collect())
-    }
-}
-
-impl FromJson for BigUint {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let limbs = Vec::<u32>::from_json(v).map_err(|e| e.context("BigUint.limbs"))?;
-        let mut out = BigUint { limbs };
-        out.normalize();
-        Ok(out)
     }
 }
 
@@ -343,16 +327,6 @@ mod proptests {
         prop::check(prop::DEFAULT_CASES, |g| {
             let (a, b) = (g.u64(), g.u64());
             prop_assert_eq!(BigUint::from_u64(a).cmp(&BigUint::from_u64(b)), a.cmp(&b));
-            Ok(())
-        });
-    }
-
-    #[test]
-    fn json_roundtrip_arbitrary() {
-        use meissa_testkit::json::{FromJson, ToJson};
-        prop::check(prop::DEFAULT_CASES, |g| {
-            let v = BigUint::pow(&BigUint::from_u64(g.range(2..=1000u64)), g.range(0..=40u32));
-            prop_assert_eq!(BigUint::from_json_text(&v.to_json_text()).unwrap(), v);
             Ok(())
         });
     }

@@ -1,6 +1,6 @@
 //! Fixed-width bitvector values.
 
-use meissa_testkit::json::{FromJson, Json, JsonError, ToJson};
+use meissa_testkit::json::{Json, ToJson};
 use std::fmt;
 
 /// A fixed-width bitvector value, the concrete value domain of the data plane.
@@ -210,17 +210,6 @@ impl ToJson for Bv {
     }
 }
 
-impl FromJson for Bv {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let width = u16::from_json(v.field("width")?).map_err(|e| e.context("Bv.width"))?;
-        let val = u128::from_json(v.field("val")?).map_err(|e| e.context("Bv.val"))?;
-        if !(1..=Bv::MAX_WIDTH).contains(&width) {
-            return Err(JsonError::new(format!("Bv width {width} out of range")));
-        }
-        Ok(Bv::new(width, val))
-    }
-}
-
 impl fmt::Debug for Bv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}'d{}", self.width, self.val)
@@ -344,16 +333,6 @@ mod tests {
     fn display_hex_for_wide_values() {
         assert_eq!(Bv::new(16, 0x800).to_string(), "0x0800");
         assert_eq!(Bv::new(8, 17).to_string(), "17");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for bv in [Bv::new(8, 0x42), Bv::ones(128), Bv::bool(true)] {
-            let text = bv.to_json_text();
-            assert_eq!(Bv::from_json_text(&text).unwrap(), bv, "via `{text}`");
-        }
-        assert!(Bv::from_json_text(r#"{"width":0,"val":0}"#).is_err());
-        assert!(Bv::from_json_text(r#"{"width":200,"val":0}"#).is_err());
     }
 }
 

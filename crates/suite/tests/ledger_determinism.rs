@@ -101,6 +101,11 @@ fn gw3_output_identical_with_ledger_on_and_off_and_records_agree() {
         field_text(a, "rule_set_hash"),
         field_text(b, "rule_set_hash")
     );
+    // The hashes are FNV-1a over the IR's JSON encoding, so any change to
+    // the encoders' bytes shows here — and would break `meissa-trace diff`
+    // between ledgers written before and after it.
+    assert_eq!(field_text(a, "program_hash"), "3e0647ec063f70a6");
+    assert_eq!(field_text(a, "rule_set_hash"), "bb78fa8fec8b1be2");
     assert_eq!(field_text(a, "config"), field_text(b, "config"));
     assert_eq!(
         a.get("coverage").map(|c| c.to_text()),

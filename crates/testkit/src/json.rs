@@ -2,10 +2,11 @@
 //!
 //! Replaces the `serde`/`serde_json` derive stack: types implement
 //! [`ToJson`]/[`FromJson`] by hand against the [`Json`] tree. The codec is
-//! deliberately small — it supports exactly what this workspace serializes
-//! (CFGs, ASTs, rule sets, bench records) — and deterministic: map-like
-//! data is emitted in a caller-controlled order so encoded output is
-//! byte-stable across runs.
+//! deliberately small — it supports exactly what this workspace writes
+//! (the IR encodings `program_hash` hashes, coverage and ledger records,
+//! trace lines, bench rows, netdriver control messages) — and
+//! deterministic: map-like data is emitted in a caller-controlled order so
+//! encoded output is byte-stable across runs.
 //!
 //! Integers are carried as `u128`/`i128` so 128-bit bitvector payloads
 //! round-trip losslessly; they are written as bare JSON integer literals,
@@ -14,6 +15,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one small hostile frame
+/// (`[[[[…`) overflows the decoding thread's stack. Everything this
+/// workspace parses (control frames, trace and ledger lines, bench
+/// specs) nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -161,6 +169,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -224,6 +233,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -271,8 +282,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(b) => Err(JsonError::new(format!(
                 "unexpected byte `{}` at {}",
@@ -280,6 +291,24 @@ impl Parser<'_> {
             ))),
             None => Err(JsonError::new("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -453,15 +482,11 @@ pub trait ToJson {
     }
 }
 
-/// Decoding from the [`Json`] tree.
+/// Decoding from the [`Json`] tree (control messages decode their scalar
+/// fields through it).
 pub trait FromJson: Sized {
     /// Reconstructs a value, rejecting shape mismatches.
     fn from_json(v: &Json) -> Result<Self, JsonError>;
-
-    /// Convenience: parse text then decode.
-    fn from_json_text(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
 }
 
 macro_rules! impl_json_uint {
@@ -471,6 +496,12 @@ macro_rules! impl_json_uint {
                 Json::UInt(*self as u128)
             }
         }
+    )*};
+}
+impl_json_uint!(u8, u16, u32, u64, usize);
+
+macro_rules! impl_from_json_uint {
+    ($($t:ty),*) => {$(
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
                 let raw = v.as_u128()?;
@@ -484,16 +515,11 @@ macro_rules! impl_json_uint {
         }
     )*};
 }
-impl_json_uint!(u8, u16, u32, u64, usize);
+impl_from_json_uint!(u16, u64);
 
 impl ToJson for u128 {
     fn to_json(&self) -> Json {
         Json::UInt(*self)
-    }
-}
-impl FromJson for u128 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_u128()
     }
 }
 
@@ -502,20 +528,10 @@ impl ToJson for bool {
         Json::Bool(*self)
     }
 }
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool()
-    }
-}
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Float(*self)
-    }
-}
-impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64()
     }
 }
 
@@ -541,11 +557,6 @@ impl<T: ToJson> ToJson for Vec<T> {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_arr()?.iter().map(T::from_json).collect()
-    }
-}
 
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
@@ -555,29 +566,10 @@ impl<T: ToJson> ToJson for Option<T> {
         }
     }
 }
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
-    }
-}
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_arr()? {
-            [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
-            other => Err(JsonError::new(format!(
-                "expected 2-element array, got {} elements",
-                other.len()
-            ))),
-        }
     }
 }
 
@@ -591,20 +583,6 @@ impl<V: ToJson> ToJson for HashMap<String, V> {
                 .map(|k| (k.clone(), self[k].to_json()))
                 .collect(),
         )
-    }
-}
-impl<V: FromJson> FromJson for HashMap<String, V> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Obj(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-                .collect(),
-            other => Err(JsonError::new(format!(
-                "expected object, got {}",
-                other.kind()
-            ))),
-        }
     }
 }
 
@@ -699,37 +677,37 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let deep = format!("{{\"t\":{}", "[".repeat(100_000));
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
     fn typed_roundtrips() {
-        let v: Vec<u32> = vec![1, 2, 3];
-        assert_eq!(Vec::<u32>::from_json_text(&v.to_json_text()).unwrap(), v);
+        let decode = |v: &dyn ToJson| Json::parse(&v.to_json_text()).unwrap();
+        assert_eq!(u64::from_json(&decode(&u64::MAX)).unwrap(), u64::MAX);
+        assert_eq!(u16::from_json(&decode(&9u16)).unwrap(), 9);
+        let s = "p\"q".to_owned();
+        assert_eq!(String::from_json(&decode(&s)).unwrap(), s);
 
-        let opt: Option<String> = None;
-        assert_eq!(
-            Option::<String>::from_json_text(&opt.to_json_text()).unwrap(),
-            opt
-        );
-
-        let pair: (u16, String) = (9, "p".into());
-        assert_eq!(
-            <(u16, String)>::from_json_text(&pair.to_json_text()).unwrap(),
-            pair
-        );
+        assert_eq!(vec![1u32, 2, 3].to_json_text(), "[1,2,3]");
+        assert_eq!(None::<String>.to_json_text(), "null");
+        assert_eq!((9u16, "p".to_owned()).to_json_text(), r#"[9,"p"]"#);
 
         let mut map = HashMap::new();
         map.insert("b".to_owned(), 2u64);
         map.insert("a".to_owned(), 1u64);
-        let text = map.to_json_text();
-        assert_eq!(text, r#"{"a":1,"b":2}"#, "sorted keys");
-        assert_eq!(
-            HashMap::<String, u64>::from_json_text(&text).unwrap(),
-            map
-        );
+        assert_eq!(map.to_json_text(), r#"{"a":1,"b":2}"#, "sorted keys");
     }
 
     #[test]
     fn out_of_range_uint_rejected() {
-        assert!(u8::from_json(&Json::UInt(300)).is_err());
-        assert!(u8::from_json(&Json::UInt(255)).is_ok());
+        assert!(u16::from_json(&Json::UInt(1 << 16)).is_err());
+        assert!(u16::from_json(&Json::UInt(u16::MAX as u128)).is_ok());
     }
 
     #[test]

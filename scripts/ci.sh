@@ -4,8 +4,9 @@
 # The workspace must build with NOTHING from crates.io — every dependency is
 # an in-repo `meissa-*` path crate (`meissa-testkit` supplies the RNG,
 # property-testing, JSON, and bench support that external crates used to).
-# The guard at the end fails the run if any non-workspace crate sneaks into
-# the dependency graph.
+# The guards at the end fail the run if any non-workspace crate sneaks into
+# the dependency graph, or if `meissa-lang` gains a normal dependency on
+# `meissa-testkit`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -221,3 +222,13 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 echo "ok: dependency graph is meissa-* only"
+
+echo "==> dependency guard: the frontend takes programs and rules as text"
+# meissa-lang parses P4lite source and rule text; it encodes and decodes
+# no JSON, so meissa-testkit may only be a dev-dependency of it.
+if cargo tree --offline -p meissa-lang --edges normal --depth 1 --prefix none \
+  | grep -q '^meissa-testkit '; then
+  echo "meissa-lang has a normal dependency on meissa-testkit" >&2
+  exit 1
+fi
+echo "ok: meissa-testkit is a dev-dependency of meissa-lang only"
