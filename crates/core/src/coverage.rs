@@ -262,14 +262,32 @@ pub fn measure_rules(cfg: &Cfg, templates: &[TestTemplate]) -> RuleCoverage {
             }
         }
     }
+    // Tally visits per node first, then fold each visited node's sites in
+    // once: the table lookups scale with the graph, not the template set.
+    let mut visits = vec![0u64; cfg.num_nodes()];
     for tpl in templates {
         for &n in &tpl.path {
-            for s in cfg.rule_sites(n) {
-                let t = cov.tables.entry(s.table.clone()).or_default();
-                match s.arm {
-                    RuleArm::Rule(i) => *t.rules.entry(i).or_insert(0) += 1,
-                    RuleArm::Miss => t.miss_hits += 1,
+            // A node outside the graph carries no rule site.
+            if let Some(c) = visits.get_mut(n.0 as usize) {
+                *c += 1;
+            }
+        }
+    }
+    for (n, sites) in cfg.rule_site_map() {
+        let hits = visits[n.0 as usize];
+        if hits == 0 {
+            continue;
+        }
+        for s in sites {
+            let t = cov
+                .tables
+                .get_mut(&s.table)
+                .expect("every site's table is listed");
+            match s.arm {
+                RuleArm::Rule(i) => {
+                    *t.rules.get_mut(&i).expect("every site's rule is listed") += hits
                 }
+                RuleArm::Miss => t.miss_hits += hits,
             }
         }
     }

@@ -279,7 +279,12 @@ impl Meissa {
             }
             stats.summary = Some(outcome.stats);
         }
-        stats.paths_after = count_paths(&cfg).total;
+        // Only code summary rewrites the graph.
+        stats.paths_after = if stats.summary.is_some() {
+            count_paths(&cfg).total
+        } else {
+            stats.paths_before.clone()
+        };
 
         let templates = match completed {
             // Algorithm 2's incremental extension already enumerated every

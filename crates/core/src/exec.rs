@@ -20,9 +20,10 @@
 use crate::session::SolveSession;
 use crate::symstate::{SymCtx, ValueStack};
 use crate::template::{HashObligation, TestTemplate};
-use meissa_ir::{Cfg, NodeId, Stmt};
+use meissa_ir::{Cfg, MatchIndex, NodeId, Stmt};
 use meissa_smt::{CheckResult, Solver, TermId, TermPool};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Configuration for one symbolic execution.
@@ -165,6 +166,98 @@ pub(crate) trait WorkSharer: Sync {
         arms: Arms,
         decided: bool,
     );
+}
+
+/// The walker's match indexes over one CFG's `Assume` guards, built at
+/// most once per branch node, on the node's first visit, and shared
+/// read-only by every worker of an exploration. It borrows the graph it
+/// indexes, so it cannot outlive it: code summary rewrites the CFG between
+/// batches, and each exploration call builds its own.
+///
+/// A table whose key fields an earlier action bound to constants (gw-1's
+/// `vni_underlay` and `nh_rewrite`, keyed on the `meta.vni` that
+/// `eip_lookup` wrote) is decided by one hash lookup per mask group
+/// instead of one [`SymCtx::eval_const`] per rule — on a 1,024-rule table
+/// the miss arm alone is a conjunction of 1,024 negations.
+pub struct ArmIndex<'a> {
+    cfg: &'a Cfg,
+    nodes: Vec<OnceLock<Option<Box<NodeArms>>>>,
+}
+
+/// One branch node's index and the accounting it stands in for.
+struct NodeArms {
+    index: MatchIndex,
+    /// Arms the index decides: the indexed ones, then the miss arm when
+    /// the index recognizes it.
+    covered: usize,
+    /// Non-marker arms among them; each is one folded validity check.
+    checks: u64,
+}
+
+/// A node's leading arms as decided by its [`ArmIndex`] entry, exactly as
+/// [`SymCtx::eval_const`] would decide each one.
+pub struct IndexedArms {
+    /// Arms `..covered` are decided; the rest take the per-arm path.
+    pub covered: usize,
+    /// The decided arms whose guard holds, ascending (markers included).
+    pub holding: Vec<usize>,
+    /// Non-marker arms among the decided ones (one folded check each).
+    pub checks: u64,
+}
+
+impl<'a> ArmIndex<'a> {
+    /// An empty index over `cfg`; entries are built on first use.
+    pub fn new(cfg: &'a Cfg) -> Self {
+        ArmIndex {
+            cfg,
+            nodes: (0..cfg.num_nodes()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Decides `node`'s leading arms under the value stack `v`, when every
+    /// field their guards read is bound to a constant there; `None` when
+    /// the node has no index or some key field is unbound or symbolic.
+    pub fn decide(&self, pool: &TermPool, v: &ValueStack, node: NodeId) -> Option<IndexedArms> {
+        let arms = self.nodes[node.0 as usize]
+            .get_or_init(|| self.build(node).map(Box::new))
+            .as_deref()?;
+        let fields = &self.cfg.fields;
+        let mut holding = Vec::new();
+        arms.index.matches(
+            |f| {
+                let c = pool.as_const(v.get(f)?)?;
+                (c.width() == fields.width(f)).then_some(c.val())
+            },
+            &mut holding,
+        )?;
+        if arms.covered > arms.index.indexed() && holding.is_empty() {
+            holding.push(arms.index.indexed());
+        }
+        Some(IndexedArms {
+            covered: arms.covered,
+            holding,
+            checks: arms.checks,
+        })
+    }
+
+    fn build(&self, node: NodeId) -> Option<NodeArms> {
+        let cfg = self.cfg;
+        let succ = cfg.succ(node);
+        let index = MatchIndex::build(&cfg.fields, succ.len(), |i| match cfg.stmt(succ[i]) {
+            Stmt::Assume(b) => Some(b),
+            Stmt::Assign(..) => None,
+        })?;
+        let covered = index.indexed() + index.miss_direct() as usize;
+        let checks = succ[..covered]
+            .iter()
+            .filter(|&&s| !cfg.stmt(s).is_nop())
+            .count() as u64;
+        Some(NodeArms {
+            index,
+            covered,
+            checks,
+        })
+    }
 }
 
 /// Probes per batch when a [`WorkSharer`] is installed: between chunks a
@@ -375,6 +468,7 @@ pub fn explore(
     let targets = target.into_iter().collect();
     explore_in_session(
         cfg,
+        &ArmIndex::new(cfg),
         session,
         ctx,
         start,
@@ -402,10 +496,13 @@ pub fn explore(
 /// shared program terms from scratch each time. Frame isolation keeps
 /// verdicts independent across calls. Summary batch workers run every
 /// job this way: starting each job on a fresh solver re-blasted its prefix
-/// and arms, ~2.0 s of CPU on gw-4 (32 EIPs, one thread).
+/// and arms, ~2.0 s of CPU on gw-4 (32 EIPs, one thread). `arm_index`
+/// must index `cfg`; callers running several explorations of one graph
+/// share one.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_in_session(
     cfg: &Cfg,
+    arm_index: &ArmIndex<'_>,
     session: &mut SolveSession,
     ctx: &mut SymCtx,
     start: NodeId,
@@ -418,6 +515,7 @@ pub fn explore_in_session(
     let budget = ExploreBudget::new(config, Instant::now());
     explore_task(
         cfg,
+        arm_index,
         session,
         ctx,
         vec![(start, None)],
@@ -446,6 +544,7 @@ pub fn explore_in_session(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_task(
     cfg: &Cfg,
+    arm_index: &ArmIndex<'_>,
     session: &mut SolveSession,
     ctx: &mut SymCtx,
     arms: Arms,
@@ -459,6 +558,10 @@ pub(crate) fn explore_task(
     sharer: Option<&dyn WorkSharer>,
     sink: &mut dyn FnMut(RawPath),
 ) -> ExecStats {
+    debug_assert!(
+        std::ptr::eq(cfg, arm_index.cfg),
+        "arm index built for another graph"
+    );
     let mut stats = ExecStats::default();
     let t0 = Instant::now();
     let SolveSession { pool, solver, .. } = session;
@@ -474,6 +577,7 @@ pub(crate) fn explore_task(
         sink,
         budget,
         sharer,
+        arm_index,
         all_constraints: prefix_constraints.to_vec(),
         trace: prefix_trace.to_vec(),
         // Only the incremental early-termination configuration decides
@@ -489,7 +593,7 @@ pub(crate) fn explore_task(
         arms
     } else {
         let children: Vec<NodeId> = arms.iter().map(|&(n, _)| n).collect();
-        walker.decide_arms(pool, ctx, solver, &v, &children)
+        walker.decide_arms(pool, ctx, solver, &v, None, &children)
     };
     walker.expand(pool, ctx, solver, &mut v, arms);
     solver.pop();
@@ -510,6 +614,8 @@ struct Walker<'a> {
     sink: &'a mut dyn FnMut(RawPath),
     budget: &'a ExploreBudget,
     sharer: Option<&'a dyn WorkSharer>,
+    /// Match indexes over `cfg`'s branch nodes, shared with every worker.
+    arm_index: &'a ArmIndex<'a>,
     /// Every constraint currently on the path (for non-incremental
     /// re-solving and for template emission).
     all_constraints: Vec<TermId>,
@@ -576,9 +682,13 @@ impl Walker<'_> {
 
     /// Decides the guards of a branch node's `Assume` children under the
     /// current value stack and returns the children left to walk, in
-    /// order. A guard [`SymCtx::eval_const`] settles never reaches the
-    /// pool; one that folds during translation is settled the same way —
-    /// one folded validity check each, under Algorithm 1's accounting. The
+    /// order. When `children` is all of `parent`'s successors and the
+    /// [`ArmIndex`] can decide its leading arms (every key field bound to
+    /// a constant), those take one lookup and count exactly what the
+    /// per-arm fold below would. A guard [`SymCtx::eval_const`] settles
+    /// never reaches the pool; one that folds during translation is
+    /// settled the same way — one folded validity check each, under
+    /// Algorithm 1's accounting. The
     /// rest are probed in batched solver interactions
     /// ([`meissa_smt::Solver::check_under`] over the live frames), counted
     /// per arm. Arms found infeasible are pruned here and never visited.
@@ -597,16 +707,33 @@ impl Walker<'_> {
         ctx: &mut SymCtx,
         solver: &mut Solver,
         v: &ValueStack,
+        parent: Option<NodeId>,
         children: &[NodeId],
     ) -> Arms {
         if !self.batch_arms {
             return children.iter().map(|&c| (c, None)).collect();
         }
         let mut arms: Arms = Vec::new();
+        let mut first = 0;
+        if let Some(ix) = parent.and_then(|n| self.arm_index.decide(pool, v, n)) {
+            self.stats.smt_checks += ix.checks; // folded validity checks
+            let mut held = 0;
+            for i in ix.holding {
+                let child = children[i];
+                if self.cfg.stmt(child).is_nop() {
+                    arms.push((child, None));
+                } else {
+                    held += 1;
+                    arms.push((child, Some(PreArm::default())));
+                }
+            }
+            self.stats.pruned += ix.checks - held;
+            first = ix.covered;
+        }
         // Positions in `arms` awaiting a probe, with their guards.
         let mut pending = Vec::new();
         let mut terms = Vec::new();
-        for &child in children {
+        for &child in &children[first..] {
             let b = match self.cfg.stmt(child) {
                 Stmt::Assume(b) if b != &meissa_ir::BExp::True => b,
                 // Structural markers carry no validity question.
@@ -865,7 +992,7 @@ impl Walker<'_> {
             } else {
                 // Batched branch expansion: decide every sibling arm in one
                 // pass before descending.
-                let arms = self.decide_arms(pool, ctx, solver, v, children);
+                let arms = self.decide_arms(pool, ctx, solver, v, Some(node), children);
                 self.expand(pool, ctx, solver, v, arms);
             }
         }
@@ -1147,11 +1274,13 @@ mod tests {
         let dst = cfg.fields.get("dstIP").unwrap();
         let dst_var = session.pool.var("dstIP", 32);
         let targets = std::collections::HashSet::new();
+        let arm_index = ArmIndex::new(&cfg);
 
         // Unconstrained: all 4 diagonal paths.
         let mut n_free = 0;
         explore_in_session(
             &cfg,
+            &arm_index,
             &mut session,
             &mut ctx,
             cfg.entry(),
@@ -1169,6 +1298,7 @@ mod tests {
         let mut n_pinned = 0;
         explore_in_session(
             &cfg,
+            &arm_index,
             &mut session,
             &mut ctx,
             cfg.entry(),
@@ -1184,6 +1314,7 @@ mod tests {
         let mut n_again = 0;
         explore_in_session(
             &cfg,
+            &arm_index,
             &mut session,
             &mut ctx,
             cfg.entry(),

@@ -16,9 +16,10 @@
 //!   already validated it). The seed task is the one-arm range `[start]`.
 //! * Each worker owns one [`SolveSession`] (pool + incremental solver +
 //!   counters) that persists across tasks, keeping the solver's
-//!   bit-blasting cache warm. Discovered [`RawPath`]s ship back over an
-//!   [`std::sync::mpsc`] channel, tagged with the worker id so the merge
-//!   step knows which pool their terms live in.
+//!   bit-blasting cache warm. Each worker keeps the [`RawPath`]s it
+//!   discovers in its own list, returned at join, so the merge step knows
+//!   which pool their terms live in. All workers share one read-only
+//!   [`ArmIndex`] over the graph.
 //! * **Work sharing**: before descending into each sibling, a walker whose
 //!   frontier is hungry donates the back half of the unstarted siblings of
 //!   its *shallowest* open range as one range task
@@ -40,7 +41,7 @@
 //! everything derived from them, are reproducible run to run.
 
 use crate::exec::{
-    explore_task, Arms, ExecConfig, ExecStats, ExploreBudget, PreArm, RawPath, WorkSharer,
+    explore_task, ArmIndex, Arms, ExecConfig, ExecStats, ExploreBudget, PreArm, RawPath, WorkSharer,
 };
 use crate::session::SolveSession;
 use crate::symstate::{HashDef, SymCtx};
@@ -49,7 +50,7 @@ use meissa_smt::{TermId, TermNode, TermPool};
 use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// One sibling-range task. Every worker pool is a fork of the main pool, so
@@ -258,18 +259,20 @@ fn possible_path_estimate(cfg: &Cfg, start: NodeId, limit: u64) -> u64 {
 struct WorkerOutput {
     session: SolveSession,
     ctx: SymCtx,
+    /// The valid paths this worker found (terms in its own pool).
+    paths: Vec<RawPath>,
 }
 
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     cfg: &Cfg,
+    arm_index: &ArmIndex<'_>,
     main_pool: &TermPool,
     targets: &HashSet<NodeId>,
     config: &ExecConfig,
     frontier: &Frontier,
     budget: &ExploreBudget,
     scope: Option<&str>,
-    tx: mpsc::Sender<(usize, RawPath)>,
     wid: usize,
 ) -> WorkerOutput {
     // A popped solver frame only *disables* its clauses (the activation
@@ -284,6 +287,7 @@ fn worker_loop(
     span.field("wid", wid as u64);
     let mut session = SolveSession::fork_from(main_pool);
     let mut ctx = SymCtx::new(scope);
+    let mut paths = Vec::new();
     let mut busy = std::time::Duration::ZERO;
     let mut steal_wait = std::time::Duration::ZERO;
     let mut tasks = 0usize;
@@ -337,6 +341,7 @@ fn worker_loop(
         }
         explore_task(
             cfg,
+            arm_index,
             &mut session,
             &mut ctx,
             arms,
@@ -348,11 +353,7 @@ fn worker_loop(
             config,
             budget,
             Some(frontier),
-            &mut |p| {
-                // The receiver outlives the workers; a send only fails
-                // after the main thread has given up on the run.
-                let _ = tx.send((wid, p));
-            },
+            &mut |p| paths.push(p),
         );
         frontier.finish_task();
         busy += t_task.elapsed();
@@ -363,7 +364,11 @@ fn worker_loop(
     span.field("steal_wait_us", steal_wait.as_micros() as u64);
     span.field("wall_us", t_worker.elapsed().as_micros() as u64);
     span.field("smt_checks", session.exec.smt_checks);
-    WorkerOutput { session, ctx }
+    WorkerOutput {
+        session,
+        ctx,
+        paths,
+    }
 }
 
 /// Parallel counterpart of [`crate::exec::explore_in_session`]: explores from
@@ -404,10 +409,12 @@ pub(crate) fn explore_parallel(
         let est = possible_path_estimate(cfg, start, limit);
         threads = threads.min((est / config.min_paths_per_worker).max(1) as usize);
     }
+    let arm_index = ArmIndex::new(cfg);
     if threads == 1 {
         let mut paths = Vec::new();
         let stats = crate::exec::explore_in_session(
             cfg,
+            &arm_index,
             session,
             ctx,
             start,
@@ -436,37 +443,36 @@ pub(crate) fn explore_parallel(
     });
     let budget = ExploreBudget::new(config, t0);
     let scope: Option<String> = ctx.scope().map(str::to_string);
-    let (tx, rx) = mpsc::channel::<(usize, RawPath)>();
 
     let main_pool = &session.pool;
-    // The main thread drains the path channel *inside* the scope, while
-    // workers are still exploring — collecting (and allocating for) the
-    // result set used to sit on the critical join path.
-    let (outputs, mut tagged): (Vec<WorkerOutput>, Vec<(usize, RawPath)>) =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|wid| {
-                    let frontier = &frontier;
-                    let budget = &budget;
-                    let scope = scope.as_deref();
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        worker_loop(
-                            cfg, main_pool, targets, config, frontier, budget, scope, tx, wid,
-                        )
-                    })
+    // The main thread only waits: each worker keeps its own paths, so no
+    // third thread wakes per discovered path.
+    let mut outputs: Vec<WorkerOutput> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|wid| {
+                let (arm_index, frontier, budget) = (&arm_index, &frontier, &budget);
+                let scope = scope.as_deref();
+                s.spawn(move || {
+                    worker_loop(
+                        cfg, arm_index, main_pool, targets, config, frontier, budget, scope, wid,
+                    )
                 })
-                .collect();
-            // Workers hold the remaining senders; the drain ends when the
-            // last one exits its loop and drops its clone.
-            drop(tx);
-            let tagged: Vec<(usize, RawPath)> = rx.iter().collect();
-            let outputs = handles
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel exploration worker panicked"))
+            .collect()
+    });
+    let mut tagged: Vec<(usize, RawPath)> = outputs
+        .iter_mut()
+        .enumerate()
+        .flat_map(|(w, out)| {
+            std::mem::take(&mut out.paths)
                 .into_iter()
-                .map(|h| h.join().expect("parallel exploration worker panicked"))
-                .collect();
-            (outputs, tagged)
-        });
+                .map(move |p| (w, p))
+        })
+        .collect();
 
     // ---- deterministic merge -------------------------------------------
     // Sort the (worker, path) pairs into sequential DFS order *before*
@@ -607,12 +613,13 @@ pub(crate) fn explore_batch(
         threads = threads.min(cores);
     }
     let next = AtomicUsize::new(0);
+    let arm_index = ArmIndex::new(cfg);
     let main_pool = &session.pool;
     let shared = main_pool.len() as u32;
     let outputs: Vec<BatchWorkerOutput> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
+                let (next, arm_index) = (&next, &arm_index);
                 s.spawn(move || {
                     // Fork the main pool once per worker: job prefixes are
                     // main-pool ids and need no translation on the way in.
@@ -628,6 +635,7 @@ pub(crate) fn explore_batch(
                         let mut paths = Vec::new();
                         let stats = crate::exec::explore_in_session(
                             cfg,
+                            arm_index,
                             &mut wsession,
                             &mut ctx,
                             job.start,

@@ -11,21 +11,21 @@
 //!
 //! Match-action tables are looked up the way a switch does it, by key
 //! rather than by walking every rule. When the target is built, each branch
-//! node whose leading successors guard on conjunctions of `field == c` /
-//! `(field & mask) == c` (exact, lpm, multi-key exact and ternary rules)
-//! gets a tuple-space index: one hash map per `(field, mask)` signature,
-//! from masked key tuple to the *first* successor with that key. A lookup
-//! takes the smallest successor index over the groups, which is exactly
-//! "first guard that holds" in successor order. The miss arm is taken
-//! without evaluation only when its guard is structurally the conjunction
-//! of the indexed guards' negations; otherwise the successors after the
-//! indexed ones are scanned. Range keys, other guard shapes and
-//! [`Fault::PriorityInverted`] keep the in-order scan, which also stays as
-//! the oracle the index is tested against.
+//! node whose leading successors guard on match conjunctions gets a
+//! [`MatchIndex`] (the tuple-space index of [`meissa_ir::match_index`],
+//! which the symbolic walker shares), and a lookup takes its
+//! [`MatchIndex::first_match`]: exactly "first guard that holds" in
+//! successor order. The miss arm is taken without evaluation only when the
+//! index recognizes it as the conjunction of the indexed guards' negations;
+//! otherwise the successors after the indexed ones are scanned. Range keys,
+//! other guard shapes and [`Fault::PriorityInverted`] keep the in-order
+//! scan, which also stays as the oracle the index is tested against.
 
 use crate::faults::Fault;
 use crate::packet::{Packet, ParserPlan};
-use meissa_ir::{AExp, BExp, Cfg, ConcreteState, FieldId, HashAlg, NodeId, RuleArm, Stmt};
+use meissa_ir::{
+    AExp, BExp, Cfg, ConcreteState, FieldId, HashAlg, MatchIndex, NodeId, RuleArm, Stmt,
+};
 use meissa_lang::CompiledProgram;
 use meissa_num::Bv;
 use std::collections::{BTreeMap, HashMap};
@@ -159,7 +159,7 @@ pub struct SwitchTarget {
     fault_fields: FaultFields,
     /// Match index per branch node, dense by `NodeId`; empty when every
     /// branch is scanned (priority inversion, the scan oracle).
-    index: Vec<Option<Box<BranchIndex>>>,
+    index: Vec<Option<Box<MatchIndex>>>,
 }
 
 impl SwitchTarget {
@@ -188,7 +188,11 @@ impl SwitchTarget {
         let fields = &cfg.fields;
         let index = if indexed {
             (0..cfg.num_nodes())
-                .map(|n| BranchIndex::build(cfg, cfg.succ(NodeId(n as u32))).map(Box::new))
+                .map(|n| {
+                    let succ = cfg.succ(NodeId(n as u32));
+                    MatchIndex::build(fields, succ.len(), |i| scan_guard(cfg, succ[i]))
+                        .map(Box::new)
+                })
                 .collect()
         } else {
             Vec::new()
@@ -216,7 +220,7 @@ impl SwitchTarget {
             .enumerate()
             .filter_map(|(n, ix)| {
                 ix.as_ref()
-                    .map(|ix| (NodeId(n as u32), ix.indexed, ix.miss_direct))
+                    .map(|ix| (NodeId(n as u32), ix.indexed(), ix.miss_direct()))
             })
             .collect()
     }
@@ -403,13 +407,13 @@ impl SwitchTarget {
         let succ = cfg.succ(node);
         let mut rest = succ;
         if let Some(Some(ix)) = self.index.get(node.0 as usize) {
-            if let Some(i) = ix.lookup(&cfg.fields, state) {
+            if let Some(i) = ix.first_match(|f| state.get(&cfg.fields, f).val()) {
                 return Some(succ[i]);
             }
-            if ix.miss_direct {
-                return Some(succ[ix.indexed]);
+            if ix.miss_direct() {
+                return Some(succ[ix.indexed()]);
             }
-            rest = &succ[ix.indexed..];
+            rest = &succ[ix.indexed()..];
         }
         self.scan(cfg, state, rest)
     }
@@ -577,149 +581,6 @@ fn scan_guard(cfg: &Cfg, s: NodeId) -> Option<&BExp> {
         (Some(raw), _) => Some(raw),
         (None, Stmt::Assume(b)) => Some(b),
         (None, _) => None,
-    }
-}
-
-/// Most key cells one indexed guard may have (the lookup assembles its key
-/// tuple in a stack buffer of this size).
-const MAX_KEY_CELLS: usize = 16;
-
-/// Tuple-space index over one branch node's leading successors.
-struct BranchIndex {
-    /// One group per `(field, mask)` signature, ordered by the smallest
-    /// successor index it holds.
-    groups: Vec<MaskGroup>,
-    /// Number of leading successors the groups cover.
-    indexed: usize,
-    /// The successor right after the indexed ones has, as its guard, the
-    /// conjunction of their guards' negations (the compiler's miss arm), so
-    /// a lookup miss takes it without evaluation.
-    miss_direct: bool,
-}
-
-/// The indexed guards sharing one `(field, mask)` signature.
-struct MaskGroup {
-    /// `(field, mask)` per key cell, in guard order.
-    cells: Vec<(FieldId, u128)>,
-    /// Masked key tuple → first successor index with that key.
-    first_by_key: HashMap<Box<[u128]>, u32>,
-    /// Smallest successor index in `first_by_key`.
-    first: u32,
-}
-
-impl BranchIndex {
-    /// Indexes the leading successors whose guards are match conjunctions;
-    /// `None` when fewer than two are (a scan is as cheap there).
-    fn build(cfg: &Cfg, succ: &[NodeId]) -> Option<BranchIndex> {
-        if succ.len() < 2 {
-            return None;
-        }
-        let fields = &cfg.fields;
-        let mut groups: Vec<MaskGroup> = Vec::new();
-        let mut group_of: HashMap<Vec<(FieldId, u128)>, usize> = HashMap::new();
-        let mut cells = Vec::new();
-        let mut indexed = 0;
-        for (i, &s) in succ.iter().enumerate() {
-            let Some(guard) = scan_guard(cfg, s) else {
-                break;
-            };
-            cells.clear();
-            let Some(satisfiable) = match_cells(fields, guard, &mut cells) else {
-                break;
-            };
-            if cells.len() > MAX_KEY_CELLS {
-                break;
-            }
-            indexed = i + 1;
-            if !satisfiable {
-                continue; // never holds: no key reaches it
-            }
-            let sig: Vec<(FieldId, u128)> = cells.iter().map(|&(f, m, _)| (f, m)).collect();
-            let g = *group_of.entry(sig).or_insert_with_key(|sig| {
-                groups.push(MaskGroup {
-                    cells: sig.clone(),
-                    first_by_key: HashMap::new(),
-                    first: i as u32,
-                });
-                groups.len() - 1
-            });
-            let key: Box<[u128]> = cells.iter().map(|&(_, _, v)| v).collect();
-            // Successors arrive in priority order: the first key wins.
-            groups[g].first_by_key.entry(key).or_insert(i as u32);
-        }
-        if indexed < 2 {
-            return None;
-        }
-        groups.sort_by_key(|g| g.first);
-        let miss_direct = succ.get(indexed).is_some_and(|&m| {
-            let mut none = BExp::True;
-            for &s in &succ[..indexed] {
-                let guard = scan_guard(cfg, s).expect("indexed successors are guarded");
-                none = BExp::and(none, BExp::not(guard.clone()));
-            }
-            scan_guard(cfg, m) == Some(&none)
-        });
-        Some(BranchIndex {
-            groups,
-            indexed,
-            miss_direct,
-        })
-    }
-
-    /// The first indexed successor whose guard holds in `state`.
-    fn lookup(&self, fields: &meissa_ir::FieldTable, state: &ConcreteState) -> Option<usize> {
-        let mut best = u32::MAX;
-        let mut key = [0u128; MAX_KEY_CELLS];
-        for g in &self.groups {
-            if g.first >= best {
-                break; // every later group starts later still
-            }
-            for (slot, &(f, mask)) in key.iter_mut().zip(&g.cells) {
-                *slot = state.get(fields, f).val() & mask;
-            }
-            if let Some(&i) = g.first_by_key.get(&key[..g.cells.len()]) {
-                best = best.min(i);
-            }
-        }
-        (best != u32::MAX).then_some(best as usize)
-    }
-}
-
-/// Flattens `guard` into `(field, mask, value)` cells, each meaning
-/// `field & mask == value` (the mask is all ones for plain equality).
-/// `None` when some conjunct has another shape (a literal `false` too: it
-/// is the miss arm of a table with an all-wildcard rule); `Some(false)`
-/// when a cell's value has bits outside its mask, so the guard never holds.
-fn match_cells(
-    fields: &meissa_ir::FieldTable,
-    guard: &BExp,
-    out: &mut Vec<(FieldId, u128, u128)>,
-) -> Option<bool> {
-    use meissa_ir::{AOp, BOp, CmpOp};
-    match guard {
-        BExp::True => Some(true),
-        BExp::Bin(BOp::And, a, b) => {
-            let x = match_cells(fields, a, out)?;
-            let y = match_cells(fields, b, out)?;
-            Some(x && y)
-        }
-        BExp::Cmp(CmpOp::Eq, lhs, AExp::Const(c)) => {
-            let (f, mask) = match lhs {
-                AExp::Field(f) => (*f, Bv::ones(fields.width(*f))),
-                AExp::Bin(AOp::And, x, m) => match (&**x, &**m) {
-                    (AExp::Field(f), AExp::Const(m)) => (*f, *m),
-                    _ => return None,
-                },
-                _ => return None,
-            };
-            let width = fields.width(f);
-            if mask.width() != width || c.width() != width {
-                return None;
-            }
-            out.push((f, mask.val(), c.val()));
-            Some(c.val() & !mask.val() == 0)
-        }
-        _ => None,
     }
 }
 

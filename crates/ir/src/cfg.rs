@@ -25,12 +25,6 @@ impl ToJson for NodeId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PipelineId(pub u32);
 
-impl ToJson for PipelineId {
-    fn to_json(&self) -> Json {
-        Json::UInt(self.0 as u128)
-    }
-}
-
 /// One CFG node: a statement plus its successors.
 #[derive(Clone, Debug)]
 pub struct Node {

@@ -14,14 +14,16 @@
 //!
 //! The crate also provides the paper's concrete evaluation relation
 //! (Fig. 4, [`eval`]), possible/valid path machinery (Definitions 1 and 2),
-//! and DAG path counting with arbitrary precision (the `10^390` numbers of
-//! Fig. 11c/12c).
+//! DAG path counting with arbitrary precision (the `10^390` numbers of
+//! Fig. 11c/12c), and the tuple-space [`match_index`] that both the switch
+//! target and the symbolic walker use to decide wide table forks by key.
 
 pub mod cfg;
 pub mod eval;
 pub mod exp;
 pub mod fields;
 pub mod hash;
+pub mod match_index;
 pub mod paths;
 pub mod unroll;
 
@@ -30,6 +32,7 @@ pub use eval::{eval_path, eval_stmt, ConcreteState, EvalError};
 pub use exp::{AExp, AOp, BExp, BOp, CmpOp, Stmt};
 pub use fields::{FieldId, FieldTable};
 pub use hash::HashAlg;
+pub use match_index::MatchIndex;
 pub use paths::{count_paths, count_paths_between, enumerate_paths, PathCounts};
 pub use unroll::{
     is_register_field, sequence_field_name, unroll, InitialState, UnrolledCfg,

@@ -13,7 +13,6 @@
 //! which standard JSON permits (precision limits are an interop concern,
 //! not a grammar one, and we control both ends).
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
@@ -558,34 +557,6 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-/// Maps encode as objects with **sorted** keys for byte-stable output.
-impl<V: ToJson> ToJson for HashMap<String, V> {
-    fn to_json(&self) -> Json {
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        Json::Obj(
-            keys.into_iter()
-                .map(|k| (k.clone(), self[k].to_json()))
-                .collect(),
-        )
-    }
-}
-
 /// Helper for enum-style encodings: `{"tag": ...payload...}`.
 pub fn tagged(tag: &str, payload: Json) -> Json {
     Json::Obj(vec![(tag.to_owned(), payload)])
@@ -695,13 +666,6 @@ mod tests {
         assert_eq!(String::from_json(&decode(&s)).unwrap(), s);
 
         assert_eq!(vec![1u32, 2, 3].to_json_text(), "[1,2,3]");
-        assert_eq!(None::<String>.to_json_text(), "null");
-        assert_eq!((9u16, "p".to_owned()).to_json_text(), r#"[9,"p"]"#);
-
-        let mut map = HashMap::new();
-        map.insert("b".to_owned(), 2u64);
-        map.insert("a".to_owned(), 1u64);
-        assert_eq!(map.to_json_text(), r#"{"a":1,"b":2}"#, "sorted keys");
     }
 
     #[test]

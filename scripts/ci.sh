@@ -46,6 +46,17 @@ echo "MEISSA_PROP_SEED=$INDEX_SEED"
 MEISSA_PROP_SEED="$INDEX_SEED" cargo test -q --offline -p meissa-suite --test target_index \
   indexed_lookup_matches_the_scan
 
+echo "==> differential: walker arm index vs per-arm constant folding, fresh seed"
+# The symbolic walker decides tables keyed on constants through a hash
+# index; per-arm `SymCtx::eval_const` is the oracle it must match on every
+# decided arm, and an unbound or symbolic key must make it decline. This
+# run draws fresh value stacks and random rule sets (seed printed, so a
+# failure reproduces with MEISSA_PROP_SEED=<seed>).
+ARM_SEED="$(date +%s)"
+echo "MEISSA_PROP_SEED=$ARM_SEED"
+MEISSA_PROP_SEED="$ARM_SEED" cargo test -q --offline -p meissa-suite --test arm_index \
+  indexed_verdicts_match_eval_const
+
 echo "==> plan validity oracle: warm-solver plans on fresh random gw-3 rule sets"
 # The case planner solves a whole chunk of templates on one solver, so
 # every planned input is checked against its own template: constraints
