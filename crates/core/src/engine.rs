@@ -156,6 +156,9 @@ pub struct RunStats {
     /// `push/assert/check/pop` cycles. Each batched arm still counts as one
     /// `smt_checks`, keeping the Fig. 11b metric comparable.
     pub batched_probes: u64,
+    /// Batched arms decided Sat without a solver call: `x == c` guards on a
+    /// variable free on the path ([`crate::exec::ExecStats::arms_independent`]).
+    pub arms_independent: u64,
     /// Batched sibling probes issued (each covering ≥ 2 arms).
     pub arm_batches: u64,
     /// True when a time budget expired before completion.
@@ -316,6 +319,7 @@ impl Meissa {
         // only there).
         stats.pruned = session.exec.pruned;
         stats.batched_probes = session.exec.batched_probes;
+        stats.arms_independent = session.exec.arms_independent;
         stats.arm_batches = session.exec.arm_batches;
         stats.solver = session.solver_stats();
         stats.sat = session.sat_stats();
@@ -347,6 +351,7 @@ impl Meissa {
             run_span.field("smt_checks", stats.smt_checks);
             run_span.field("batched_probes", stats.batched_probes);
             run_span.field("arm_batches", stats.arm_batches);
+            run_span.field("arms_independent", stats.arms_independent);
             run_span.field("sat_engine_calls", stats.solver.sat_engine_calls);
             run_span.field("model_reuse", stats.solver.model_reuse);
             run_span.field("sat_propagations", stats.sat.propagations);

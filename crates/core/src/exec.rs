@@ -21,7 +21,9 @@ use crate::session::SolveSession;
 use crate::symstate::{SymCtx, ValueStack};
 use crate::template::{HashObligation, TestTemplate};
 use meissa_ir::{Cfg, MatchIndex, NodeId, Stmt};
-use meissa_smt::{CheckResult, Solver, TermId, TermPool};
+use meissa_smt::term::CmpOp;
+use meissa_smt::{CheckResult, Solver, TermId, TermNode, TermPool, VarId};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -139,17 +141,17 @@ impl ExploreBudget {
     }
 }
 
-/// A sibling range: children of one branch node, in successor order. Once
-/// decided ([`Walker::decide_arms`]) it holds only feasible arms, each with
-/// the guard its parent already settled (`None` for markers and
-/// non-predicate nodes, which `visit` handles itself); undecided, every
-/// entry is `None`.
+/// A decided sibling range ([`Walker::decide_arms`]): the feasible
+/// children of one branch node, in successor order, each with the guard its
+/// parent already settled (`None` for markers and non-predicate nodes,
+/// which `visit` handles itself). An exploration starts from the one-arm
+/// range `[(start, None)]`.
 pub(crate) type Arms = Vec<(NodeId, Option<PreArm>)>;
 
 /// Donation hook a parallel frontier installs on each worker's walker. A
 /// walker whose frontier is hungry hands the back half of an open branch's
 /// unstarted siblings to an idle worker as one range task: `(path-prefix,
-/// constraint-prefix, value-snapshot, arms, decided)`.
+/// constraint-prefix, value-snapshot, arms)`.
 pub(crate) trait WorkSharer: Sync {
     /// Is anyone idle with nothing queued? Consulted before every sibling
     /// a walker descends into, so it must cost a couple of atomic loads.
@@ -164,7 +166,6 @@ pub(crate) trait WorkSharer: Sync {
         constraints: &[TermId],
         values: &[(meissa_ir::FieldId, TermId)],
         arms: Arms,
-        decided: bool,
     );
 }
 
@@ -260,12 +261,6 @@ impl<'a> ArmIndex<'a> {
     }
 }
 
-/// Probes per batch when a [`WorkSharer`] is installed: between chunks a
-/// hungry frontier can take half of a wide branch's unprobed arms. At ~50 µs
-/// per SAT-probed arm (a 1,025-arm table under a ~20-conjunct prefix, on a
-/// 2-core x86 host), an idle worker waits at most a few milliseconds.
-const PROBE_CHUNK: usize = 64;
-
 /// Counters for one execution (the raw numbers behind Figs. 9–12).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecStats {
@@ -277,12 +272,17 @@ pub struct ExecStats {
     pub pruned: u64,
     /// SMT checks issued.
     pub smt_checks: u64,
-    /// Sibling-arm probes issued through batched branch expansion
-    /// ([`meissa_smt::Solver::check_under`]; incremental + early-termination
-    /// configuration only). Each batched arm still counts one `smt_checks`,
-    /// so this splits the Fig. 11b metric by probing style rather than
-    /// adding to it.
+    /// Sibling arms decided together in batched branch expansion
+    /// ([`meissa_smt::Solver::check_under`] or the independence shortcut;
+    /// incremental + early-termination configuration only). Each batched
+    /// arm still counts one `smt_checks`, so this splits the Fig. 11b
+    /// metric by probing style rather than adding to it.
     pub batched_probes: u64,
+    /// Batched arms decided Sat without a solver call because their guard
+    /// is `x == c` on a variable no live path constraint mentions
+    /// ([`PathVars::is_free_eq`]). Each is one of `batched_probes` and
+    /// still counts one `smt_checks`.
+    pub arms_independent: u64,
     /// Branch points whose sibling arms were probed as one batch.
     pub arm_batches: u64,
     /// Wall-clock time of the execution.
@@ -338,8 +338,6 @@ pub fn generate_templates(
             &mut ctx,
             cfg.entry(),
             &std::collections::HashSet::new(),
-            &[],
-            &[],
             config,
         )
     } else {
@@ -408,19 +406,9 @@ pub fn raw_paths_to_templates(
                     if std::mem::replace(&mut seen[t.index()], epoch) == epoch {
                         continue;
                     }
-                    use meissa_smt::TermNode::*;
-                    match *pool.node(t) {
-                        BvVar(_) => hits.extend(by_out.get(&t)),
-                        BvConst(_) | BoolConst(_) => {}
-                        BvBin(_, a, b)
-                        | BvConcat(a, b)
-                        | Cmp(_, a, b)
-                        | BoolAnd(a, b)
-                        | BoolOr(a, b) => stack.extend([a, b]),
-                        BvNot(a) | BvShl(a, _) | BvShr(a, _) | BvExtract(a, _, _) | BoolNot(a) => {
-                            stack.push(a)
-                        }
-                        BvIte(c, a, b) => stack.extend([c, a, b]),
+                    match pool.node(t) {
+                        TermNode::BvVar(_) => hits.extend(by_out.get(&t)),
+                        node => push_operands(node, &mut stack),
                     }
                 }
                 hits.sort_unstable();
@@ -436,15 +424,107 @@ pub fn raw_paths_to_templates(
         .collect()
 }
 
+/// Pushes a term node's operands onto a DAG-walk stack.
+fn push_operands(node: &TermNode, stack: &mut Vec<TermId>) {
+    use TermNode::*;
+    match *node {
+        BvVar(_) | BvConst(_) | BoolConst(_) => {}
+        BvBin(_, a, b) | BvConcat(a, b) | Cmp(_, a, b) | BoolAnd(a, b) | BoolOr(a, b) => {
+            stack.extend([a, b])
+        }
+        BvNot(a) | BvShl(a, _) | BvShr(a, _) | BvExtract(a, _, _) | BoolNot(a) => stack.push(a),
+        BvIte(c, a, b) => stack.extend([c, a, b]),
+    }
+}
+
 /// Splits a boolean term into its top-level conjuncts, appending them to
 /// `out`. `a && (b && c)` yields `[a, b, c]`; non-conjunction terms are
 /// appended as-is.
 pub(crate) fn flatten_conjuncts(pool: &TermPool, t: TermId, out: &mut Vec<TermId>) {
-    if let meissa_smt::TermNode::BoolAnd(a, b) = *pool.node(t) {
+    if let TermNode::BoolAnd(a, b) = *pool.node(t) {
         flatten_conjuncts(pool, a, out);
         flatten_conjuncts(pool, b, out);
     } else {
         out.push(t);
+    }
+}
+
+/// The variables of the constraints live on a walker's path, kept as the
+/// number of live constraints that mention each one. The walker adds a
+/// constraint's variables when it asserts the constraint and drops them
+/// when it backtracks past it, so asking whether a variable is free on the
+/// path costs one lookup.
+///
+/// This is constraint independence (KLEE, Cadar et al., OSDI 2008) in its
+/// cheapest form: when the path condition is satisfiable and leaves `x`
+/// free, `x == c` (with `c` of `x`'s width) is satisfiable together with
+/// it, so [`Walker::decide_arms`] decides such an arm Sat without asking
+/// the solver.
+#[derive(Default)]
+pub struct PathVars {
+    /// Live constraints mentioning each variable, by [`VarId::index`].
+    counts: Vec<u32>,
+    /// Each live constraint's distinct variables, in push order.
+    vars: Vec<VarId>,
+    /// `vars.len()` before each live constraint.
+    marks: Vec<usize>,
+    /// Buffers reused by the DAG walk in `push`.
+    seen: HashSet<TermId>,
+    stack: Vec<TermId>,
+}
+
+impl PathVars {
+    /// An empty path.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds constraint `t` to the path.
+    pub fn push(&mut self, pool: &TermPool, t: TermId) {
+        self.marks.push(self.vars.len());
+        self.seen.clear();
+        self.stack.push(t);
+        while let Some(t) = self.stack.pop() {
+            if !self.seen.insert(t) {
+                continue;
+            }
+            match pool.node(t) {
+                &TermNode::BvVar(x) => {
+                    if self.counts.len() <= x.index() {
+                        self.counts.resize(x.index() + 1, 0);
+                    }
+                    self.counts[x.index()] += 1;
+                    self.vars.push(x);
+                }
+                node => push_operands(node, &mut self.stack),
+            }
+        }
+    }
+
+    /// Drops every constraint past the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        let Some(&from) = self.marks.get(len) else {
+            return;
+        };
+        for x in self.vars.drain(from..) {
+            self.counts[x.index()] -= 1;
+        }
+        self.marks.truncate(len);
+    }
+
+    /// Is `t` an equality `x == c` of a variable that no live constraint
+    /// mentions and a constant of its width? If the live constraints are
+    /// satisfiable, so is their conjunction with such a `t`.
+    pub fn is_free_eq(&self, pool: &TermPool, t: TermId) -> bool {
+        let TermNode::Cmp(CmpOp::Eq, a, b) = *pool.node(t) else {
+            return false;
+        };
+        let (x, c) = match (pool.node(a), pool.node(b)) {
+            (&TermNode::BvVar(x), TermNode::BvConst(c))
+            | (TermNode::BvConst(c), &TermNode::BvVar(x)) => (x, c),
+            _ => return false,
+        };
+        c.width() == pool.var_width(x) && self.counts.get(x.index()).is_none_or(|&n| n == 0)
     }
 }
 
@@ -474,6 +554,7 @@ pub fn explore(
         start,
         &targets,
         base_constraints,
+        false,
         &[],
         config,
         sink,
@@ -498,7 +579,10 @@ pub fn explore(
 /// job this way: starting each job on a fresh solver re-blasted its prefix
 /// and arms, ~2.0 s of CPU on gw-4 (32 EIPs, one thread). `arm_index`
 /// must index `cfg`; callers running several explorations of one graph
-/// share one.
+/// share one. `base_sat` says the caller knows `base_constraints` to be
+/// satisfiable (an empty base always is). Otherwise the walker does not
+/// assume it: it decides arms without the solver ([`PathVars`]) only after
+/// the first Sat answer.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_in_session(
     cfg: &Cfg,
@@ -508,6 +592,7 @@ pub fn explore_in_session(
     start: NodeId,
     targets: &std::collections::HashSet<NodeId>,
     base_constraints: &[TermId],
+    base_sat: bool,
     initial_values: &[(meissa_ir::FieldId, TermId)],
     config: &ExecConfig,
     sink: &mut dyn FnMut(RawPath),
@@ -519,7 +604,7 @@ pub fn explore_in_session(
         session,
         ctx,
         vec![(start, None)],
-        true,
+        base_sat || base_constraints.is_empty(),
         targets,
         &[],
         base_constraints,
@@ -532,15 +617,17 @@ pub fn explore_in_session(
 }
 
 /// The workhorse behind [`explore_in_session`] and each parallel worker's
-/// task: explores the sibling range `arms` (a single decided `(start,
-/// None)` for a whole exploration) with an already-established prefix —
+/// task: explores the decided sibling range `arms` (`[(start, None)]` for
+/// a whole exploration) with an already-established prefix —
 /// `prefix_trace` (path nodes up to but excluding the arms),
 /// `prefix_constraints` (asserted into one solver frame, **without**
-/// re-checking: the donor already validated them), and `initial_values`
-/// (the value stack at the arms). A `decided` range carries its parent's
-/// verdicts and is never probed again; an undecided one is decided here,
-/// in one batch. Budget state is shared through `budget`; `sharer`, when
-/// present, may be handed part of any open sibling range.
+/// re-checking), and `initial_values` (the value stack at the arms). The
+/// arms carry their parent's verdicts and are never probed again.
+/// `prefix_sat` says the prefix is known satisfiable — empty, or validated
+/// by the donor — which lets the walker decide path-independent arms
+/// without the solver from the start. Budget state is shared through
+/// `budget`; `sharer`, when present, may be handed part of any open
+/// sibling range.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_task(
     cfg: &Cfg,
@@ -548,7 +635,7 @@ pub(crate) fn explore_task(
     session: &mut SolveSession,
     ctx: &mut SymCtx,
     arms: Arms,
-    decided: bool,
+    prefix_sat: bool,
     targets: &std::collections::HashSet<NodeId>,
     prefix_trace: &[NodeId],
     prefix_constraints: &[TermId],
@@ -565,10 +652,6 @@ pub(crate) fn explore_task(
     let mut stats = ExecStats::default();
     let t0 = Instant::now();
     let SolveSession { pool, solver, .. } = session;
-    solver.push();
-    for &c in prefix_constraints {
-        solver.assert_term(pool, c);
-    }
     let mut walker = Walker {
         cfg,
         targets,
@@ -578,23 +661,23 @@ pub(crate) fn explore_task(
         budget,
         sharer,
         arm_index,
-        all_constraints: prefix_constraints.to_vec(),
+        all_constraints: Vec::with_capacity(prefix_constraints.len()),
+        path_vars: PathVars::new(),
+        sat_known: prefix_sat,
         trace: prefix_trace.to_vec(),
         // Only the incremental early-termination configuration decides
         // sibling arms in batches; the baselines probe node by node.
         batch_arms: config.incremental && config.early_termination,
         frames: Vec::new(),
     };
+    solver.push();
+    for &c in prefix_constraints {
+        walker.assert_constraint(pool, solver, c);
+    }
     let mut v = ValueStack::new();
     for &(f, t) in initial_values {
         v.set(f, t);
     }
-    let arms = if decided {
-        arms
-    } else {
-        let children: Vec<NodeId> = arms.iter().map(|&(n, _)| n).collect();
-        walker.decide_arms(pool, ctx, solver, &v, None, &children)
-    };
     walker.expand(pool, ctx, solver, &mut v, arms);
     solver.pop();
     // Incremental checks are counted by the session's solver (delta since
@@ -619,6 +702,13 @@ struct Walker<'a> {
     /// Every constraint currently on the path (for non-incremental
     /// re-solving and for template emission).
     all_constraints: Vec<TermId>,
+    /// The variables of `all_constraints` (kept only with `batch_arms`).
+    path_vars: PathVars,
+    /// Are the live constraints known satisfiable? True from the start
+    /// under a prefix known satisfiable, and from the first Sat answer of
+    /// a batch on: every constraint pushed after that belongs to an arm
+    /// decided Sat under the constraints before it.
+    sat_known: bool,
     trace: Vec<NodeId>,
     /// Decide each branch node's sibling arms in one batched probe
     /// ([`Walker::decide_arms`]) instead of one check per child.
@@ -663,6 +753,15 @@ impl Walker<'_> {
         }
     }
 
+    /// Asserts `c` into the solver's top frame and records it on the path.
+    fn assert_constraint(&mut self, pool: &mut TermPool, solver: &mut Solver, c: TermId) {
+        solver.assert_term(pool, c);
+        self.all_constraints.push(c);
+        if self.batch_arms {
+            self.path_vars.push(pool, c);
+        }
+    }
+
     /// Satisfiability of the current constraint set, honoring the
     /// incremental/non-incremental configuration.
     fn check(&mut self, pool: &mut TermPool, solver: &mut Solver) -> CheckResult {
@@ -682,40 +781,37 @@ impl Walker<'_> {
 
     /// Decides the guards of a branch node's `Assume` children under the
     /// current value stack and returns the children left to walk, in
-    /// order. When `children` is all of `parent`'s successors and the
-    /// [`ArmIndex`] can decide its leading arms (every key field bound to
-    /// a constant), those take one lookup and count exactly what the
-    /// per-arm fold below would. A guard [`SymCtx::eval_const`] settles
-    /// never reaches the pool; one that folds during translation is
-    /// settled the same way — one folded validity check each, under
-    /// Algorithm 1's accounting. The
-    /// rest are probed in batched solver interactions
-    /// ([`meissa_smt::Solver::check_under`] over the live frames), counted
-    /// per arm. Arms found infeasible are pruned here and never visited.
-    /// Markers, non-predicate nodes, and every child under the baseline
+    /// order. When the [`ArmIndex`] can decide `parent`'s leading arms
+    /// (every key field bound to a constant), those take one lookup and
+    /// count exactly what the per-arm fold below would. A guard
+    /// [`SymCtx::eval_const`] settles never reaches the pool; one that
+    /// folds during translation is settled the same way — one folded
+    /// validity check each, under Algorithm 1's accounting. The rest are
+    /// decided as one batch, counted per arm: while the live constraints
+    /// are known satisfiable, a guard `x == c` on a variable free on the
+    /// path ([`PathVars::is_free_eq`]) is Sat without a solver call, and
+    /// every other guard is probed in one batched solver interaction
+    /// ([`meissa_smt::Solver::check_under`] over the live frames). Arms
+    /// found infeasible are pruned here and never visited. Markers,
+    /// non-predicate nodes, and every child under the baseline
     /// configurations (no `batch_arms`) get no [`PreArm`] and fall back to
     /// the per-node logic in `visit`.
-    ///
-    /// Without a sharer the probes go out as one batch. With one, they go
-    /// out [`PROBE_CHUNK`] at a time, and between chunks a hungry frontier
-    /// is handed the back half of the arms not yet probed as an undecided
-    /// range — a wide batch is the longest stretch a walker spends without
-    /// reaching [`Walker::share`], and an idle worker should not wait it out.
     fn decide_arms(
         &mut self,
         pool: &mut TermPool,
         ctx: &mut SymCtx,
         solver: &mut Solver,
         v: &ValueStack,
-        parent: Option<NodeId>,
-        children: &[NodeId],
+        parent: NodeId,
     ) -> Arms {
+        let cfg = self.cfg;
+        let children = cfg.succ(parent);
         if !self.batch_arms {
             return children.iter().map(|&c| (c, None)).collect();
         }
         let mut arms: Arms = Vec::new();
         let mut first = 0;
-        if let Some(ix) = parent.and_then(|n| self.arm_index.decide(pool, v, n)) {
+        if let Some(ix) = self.arm_index.decide(pool, v, parent) {
             self.stats.smt_checks += ix.checks; // folded validity checks
             let mut held = 0;
             for i in ix.holding {
@@ -733,6 +829,7 @@ impl Walker<'_> {
         // Positions in `arms` awaiting a probe, with their guards.
         let mut pending = Vec::new();
         let mut terms = Vec::new();
+        let mut independent = 0;
         for &child in &children[first..] {
             let b = match self.cfg.stmt(child) {
                 Stmt::Assume(b) if b != &meissa_ir::BExp::True => b,
@@ -762,49 +859,31 @@ impl Walker<'_> {
                     let mut conjuncts = Vec::new();
                     flatten_conjuncts(pool, t, &mut conjuncts);
                     conjuncts.sort_by_key(|&c| pool.term_hash(c));
-                    pending.push(arms.len());
-                    terms.push(t);
+                    if self.sat_known && self.path_vars.is_free_eq(pool, t) {
+                        independent += 1;
+                    } else {
+                        pending.push(arms.len());
+                        terms.push(t);
+                    }
                     arms.push((child, Some(PreArm { conjuncts })));
                 }
             }
         }
+        // Each independent arm is one validity check answered Sat.
+        self.stats.smt_checks += independent;
+        self.stats.arms_independent += independent;
+        crate::session::record_batch(self.stats, pending.len() + independent as usize);
+        let verdicts = solver.check_under(pool, &terms);
         let mut skip = vec![false; arms.len()];
-        let (mut probed, mut end) = (0, pending.len());
-        while probed < end {
-            let hi = match self.sharer {
-                Some(_) => (probed + PROBE_CHUNK).min(end),
-                None => end,
-            };
-            let verdicts = solver.check_under(pool, &terms[probed..hi]);
-            for (&i, verdict) in pending[probed..hi].iter().zip(verdicts) {
-                if verdict == CheckResult::Unsat {
+        for (&i, verdict) in pending.iter().zip(verdicts) {
+            match verdict {
+                CheckResult::Unsat => {
                     skip[i] = true;
                     self.stats.pruned += 1;
                 }
-            }
-            probed = hi;
-            if let Some(sh) = self.sharer {
-                if end - probed >= 2 && sh.hungry() {
-                    let cut = end - (end - probed) / 2;
-                    let given = pending[cut..end].iter().map(|&i| {
-                        skip[i] = true;
-                        (arms[i].0, None)
-                    });
-                    sh.donate(
-                        pool,
-                        &self.trace,
-                        &self.all_constraints,
-                        &v.snapshot_at(v.mark()),
-                        given.collect(),
-                        false,
-                    );
-                    end = cut;
-                }
+                CheckResult::Sat => self.sat_known = true,
             }
         }
-        // The arms this walker probed count as one batch, however many
-        // chunks they went out in.
-        crate::session::record_batch(self.stats, end);
         let mut i = 0;
         arms.retain(|_| {
             i += 1;
@@ -881,7 +960,6 @@ impl Walker<'_> {
             &self.all_constraints[..f.constraints_len],
             &v.snapshot_at(f.value_mark),
             arms,
-            true,
         );
     }
 
@@ -913,8 +991,7 @@ impl Walker<'_> {
                     solver.push();
                     pushed = true;
                     for c in arm.conjuncts {
-                        solver.assert_term(pool, c);
-                        self.all_constraints.push(c);
+                        self.assert_constraint(pool, solver, c);
                     }
                 }
             }
@@ -945,8 +1022,7 @@ impl Walker<'_> {
                         // the contradiction along and discover it at the
                         // leaf check, like a tool without early termination.
                         solver.push();
-                        solver.assert_term(pool, t);
-                        self.all_constraints.push(t);
+                        self.assert_constraint(pool, solver, t);
                         pushed = true;
                     }
                     None => {
@@ -955,8 +1031,8 @@ impl Walker<'_> {
                         // only works at conjunct granularity.
                         solver.push();
                         pushed = true;
-                        let before = self.all_constraints.len();
-                        flatten_conjuncts(pool, t, &mut self.all_constraints);
+                        let mut conjuncts = Vec::new();
+                        flatten_conjuncts(pool, t, &mut conjuncts);
                         // `BoolAnd` canonicalizes its operands by pool-local
                         // TermId, so the flatten order above depends on term
                         // interning history — fine sequentially, but a parallel
@@ -964,10 +1040,9 @@ impl Walker<'_> {
                         // Re-sort the statement's conjuncts by their
                         // pool-independent structural hash so every pool
                         // records the same constraint sequence.
-                        self.all_constraints[before..]
-                            .sort_by_key(|&c| pool.term_hash(c));
-                        for &c in &self.all_constraints[before..] {
-                            solver.assert_term(pool, c);
+                        conjuncts.sort_by_key(|&c| pool.term_hash(c));
+                        for c in conjuncts {
+                            self.assert_constraint(pool, solver, c);
                         }
                         if self.config.early_termination
                             && self.check(pool, solver) == CheckResult::Unsat
@@ -984,15 +1059,12 @@ impl Walker<'_> {
             }
         }
         if feasible {
-            let at_target = self.targets.contains(&node);
-            let cfg = self.cfg;
-            let children = cfg.succ(node);
-            if at_target || children.is_empty() {
+            if self.targets.contains(&node) || self.cfg.succ(node).is_empty() {
                 self.leaf(pool, solver, v);
             } else {
                 // Batched branch expansion: decide every sibling arm in one
                 // pass before descending.
-                let arms = self.decide_arms(pool, ctx, solver, v, Some(node), children);
+                let arms = self.decide_arms(pool, ctx, solver, v, node);
                 self.expand(pool, ctx, solver, v, arms);
             }
         }
@@ -1000,6 +1072,7 @@ impl Walker<'_> {
         if pushed {
             solver.pop();
             self.all_constraints.truncate(constraints_mark);
+            self.path_vars.truncate(constraints_mark);
         }
         self.trace.pop();
     }
@@ -1286,6 +1359,7 @@ mod tests {
             cfg.entry(),
             &targets,
             &[],
+            false,
             &[],
             &config,
             &mut |_| n_free += 1,
@@ -1304,6 +1378,7 @@ mod tests {
             cfg.entry(),
             &targets,
             &[pin],
+            false,
             &[],
             &config,
             &mut |_| n_pinned += 1,
@@ -1320,6 +1395,7 @@ mod tests {
             cfg.entry(),
             &targets,
             &[],
+            false,
             &[],
             &config,
             &mut |_| n_again += 1,
@@ -1329,6 +1405,110 @@ mod tests {
         assert_eq!(session.exec.valid_paths, 9);
         assert!(session.solver_stats().checks > 0);
         let _ = dst;
+    }
+
+    /// A two-way branch on field `y`: `y == 3` or `y == 4`.
+    fn y_branch_cfg() -> Cfg {
+        let mut b = CfgBuilder::new();
+        let y = field(&mut b, "y", 8);
+        b.nop();
+        let base = b.frontier();
+        let mut arms = Vec::new();
+        for k in [3, 4] {
+            b.set_frontier(base.clone());
+            b.stmt(Stmt::Assume(BExp::Cmp(
+                CmpOp::Eq,
+                AExp::Field(y),
+                AExp::Const(Bv::new(8, k)),
+            )));
+            arms.push(b.frontier());
+        }
+        b.set_frontier(Vec::new());
+        b.merge_frontiers(arms);
+        b.nop();
+        b.finish()
+    }
+
+    #[test]
+    fn independent_arms_skip_the_solver_only_under_a_satisfiable_path() {
+        let cfg = y_branch_cfg();
+        let arm_index = ArmIndex::new(&cfg);
+        let targets = std::collections::HashSet::new();
+        let config = ExecConfig::default();
+        let run = |session: &mut SolveSession, base: &[TermId]| {
+            let mut n = 0;
+            let stats = explore_in_session(
+                &cfg,
+                &arm_index,
+                session,
+                &mut SymCtx::new(None),
+                cfg.entry(),
+                &targets,
+                base,
+                false,
+                &[],
+                &config,
+                &mut |_| n += 1,
+            );
+            (n, stats)
+        };
+
+        // Empty base: both arms are `y == c` with `y` free, decided Sat
+        // without a solver call, one check each.
+        let mut session = SolveSession::new();
+        let (n, stats) = run(&mut session, &[]);
+        assert_eq!(n, 2);
+        assert_eq!(stats.arms_independent, 2);
+        assert_eq!(stats.smt_checks, 2);
+        assert_eq!(session.solver_stats().sat_engine_calls, 0);
+
+        // An unsat base that never mentions `y`: the independent arms must
+        // still go to the solver, which refutes them.
+        let mut session = SolveSession::new();
+        let x = session.pool.var("x", 8);
+        let base: Vec<TermId> = [1, 2]
+            .map(|k| {
+                let c = session.pool.bv_const(Bv::new(8, k));
+                session.pool.eq(x, c)
+            })
+            .to_vec();
+        let (n, stats) = run(&mut session, &base);
+        assert_eq!(n, 0, "an unsat base yields no path");
+        assert_eq!(stats.arms_independent, 0);
+        assert_eq!(stats.pruned, 2);
+        assert_eq!(stats.smt_checks, 2);
+    }
+
+    #[test]
+    fn path_vars_follow_push_and_truncate() {
+        let mut pool = TermPool::new();
+        let x = pool.var("x", 8);
+        let y = pool.var("y", 8);
+        let one = pool.bv_const(Bv::new(8, 1));
+        let wide = pool.bv_const(Bv::new(16, 1));
+        let x_eq = pool.eq(x, one);
+        let y_eq = pool.eq(y, one);
+        let sum = pool.add(x, y);
+        let sum_eq = pool.eq(sum, one);
+        let z = pool.var("z", 16);
+        let z_eq = pool.eq(z, wide);
+        let mut pv = PathVars::new();
+        assert!(pv.is_free_eq(&pool, x_eq) && pv.is_free_eq(&pool, y_eq));
+        assert!(
+            !pv.is_free_eq(&pool, sum_eq),
+            "not a variable-constant equality"
+        );
+        pv.push(&pool, x_eq);
+        assert!(!pv.is_free_eq(&pool, x_eq));
+        assert!(pv.is_free_eq(&pool, y_eq));
+        pv.push(&pool, sum_eq);
+        assert!(!pv.is_free_eq(&pool, y_eq));
+        assert!(pv.is_free_eq(&pool, z_eq));
+        pv.truncate(1);
+        assert!(pv.is_free_eq(&pool, y_eq), "truncation drops y");
+        assert!(!pv.is_free_eq(&pool, x_eq));
+        pv.truncate(0);
+        assert!(pv.is_free_eq(&pool, x_eq));
     }
 
     #[test]

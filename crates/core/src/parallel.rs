@@ -5,15 +5,16 @@
 //! the DFS *tree* across worker threads:
 //!
 //! * A **task** is a sibling range: `(path-prefix, constraint-prefix,
-//!   value-snapshot, arms)`, where `arms` are children of one branch node,
-//!   either decided — each feasible arm with the guard its parent already
-//!   settled ([`crate::exec::PreArm`]) — or, when split off a wide batch of
-//!   probes, still undecided. Term ids are pool-local, so a task carries
+//!   value-snapshot, arms)`, where `arms` are feasible children of one
+//!   branch node, each with the guard its parent already settled
+//!   ([`crate::exec::PreArm`]). Term ids are pool-local, so a task carries
 //!   its prefix terms and the arms' conjuncts in a private minipool; the
 //!   donor translates once ([`TermPool::import`]) and the receiving worker
 //!   translates into its own pool before re-establishing the prefix
 //!   (asserted in one solver frame, *without* re-checking — the donor
-//!   already validated it). The seed task is the one-arm range `[start]`.
+//!   already validated it, so the receiver may decide path-independent
+//!   arms without the solver from the start). The seed task is the
+//!   one-arm range `[start]` under an empty prefix.
 //! * Each worker owns one [`SolveSession`] (pool + incremental solver +
 //!   counters) that persists across tasks, keeping the solver's
 //!   bit-blasting cache warm. Each worker keeps the [`RawPath`]s it
@@ -23,9 +24,8 @@
 //! * **Work sharing**: before descending into each sibling, a walker whose
 //!   frontier is hungry donates the back half of the unstarted siblings of
 //!   its *shallowest* open range as one range task
-//!   ([`WorkSharer::donate`]), and between chunks of a wide probe batch it
-//!   donates the back half of the arms not yet probed; the receiver may
-//!   split its range again. Every arm is decided once and every tree edge
+//!   ([`WorkSharer::donate`]); the receiver may split its range again.
+//!   Every arm is decided once and every tree edge
 //!   is explored once, by exactly one worker — which is why merged
 //!   per-worker counters equal a sequential run's.
 //! * **Cancellation**: one shared [`ExploreBudget`] (an atomic state cell)
@@ -64,8 +64,6 @@ struct Task {
     constraints: Vec<TermId>,
     values: Vec<(FieldId, TermId)>,
     arms: Arms,
-    /// Have the arms' guards been decided (see [`Arms`])?
-    decided: bool,
 }
 
 struct FrontierState {
@@ -153,7 +151,6 @@ impl WorkSharer for Frontier {
         constraints: &[TermId],
         values: &[(FieldId, TermId)],
         arms: Arms,
-        decided: bool,
     ) {
         // Snapshot the prefix and the arms' conjuncts into one small
         // minipool. Importing a handful of terms is far cheaper than cloning
@@ -180,11 +177,7 @@ impl WorkSharer for Frontier {
             .collect();
         obs::event(
             "worker.donate",
-            &[
-                ("arms", arms.len() as u64),
-                ("depth", trace.len() as u64),
-                ("decided", decided as u64),
-            ],
+            &[("arms", arms.len() as u64), ("depth", trace.len() as u64)],
         );
         let mut st = self.state.lock().unwrap();
         st.tasks.push_back(Task {
@@ -193,7 +186,6 @@ impl WorkSharer for Frontier {
             constraints,
             values,
             arms,
-            decided,
         });
         st.pending += 1;
         self.queue_hint.store(st.tasks.len(), Ordering::Relaxed);
@@ -235,25 +227,13 @@ fn cmp_paths(cfg: &Cfg, a: &[NodeId], b: &[NodeId]) -> std::cmp::Ordering {
 }
 
 /// Saturating possible-path count below `start`, clamped to `limit`:
-/// [`meissa_ir::count_paths_between`] in `u64` arithmetic, since the worker
+/// [`meissa_ir::count_paths_with`] in `u64` arithmetic, since the worker
 /// cap only needs to distinguish "a handful" from "plenty" — real targets'
 /// exact counts (up to 10^390) are irrelevant here.
 fn possible_path_estimate(cfg: &Cfg, start: NodeId, limit: u64) -> u64 {
-    let order = cfg.topo_order();
-    let mut counts: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
-    for &n in order.iter().rev() {
-        let succ = cfg.succ(n);
-        let c = if succ.is_empty() {
-            1
-        } else {
-            succ.iter()
-                .map(|s| counts.get(s).copied().unwrap_or(1))
-                .fold(0u64, u64::saturating_add)
-                .min(limit)
-        };
-        counts.insert(n, c);
-    }
-    counts.get(&start).copied().unwrap_or(1)
+    meissa_ir::count_paths_with(cfg, start, None, 0, 1, |acc, &c| {
+        *acc = acc.saturating_add(c).min(limit)
+    })
 }
 
 struct WorkerOutput {
@@ -319,7 +299,6 @@ fn worker_loop(
             mut constraints,
             mut values,
             mut arms,
-            decided,
         } = task;
         if let Some(mini) = pool {
             let mut cache = HashMap::new();
@@ -345,7 +324,7 @@ fn worker_loop(
             &mut session,
             &mut ctx,
             arms,
-            decided,
+            true,
             targets,
             &trace,
             &constraints,
@@ -371,8 +350,9 @@ fn worker_loop(
     }
 }
 
-/// Parallel counterpart of [`crate::exec::explore_in_session`]: explores from
-/// `start` across `config.threads` workers and returns the discovered valid
+/// Parallel counterpart of [`crate::exec::explore_in_session`] with no base
+/// constraints and no initial values: explores from `start` across
+/// `config.threads` workers and returns the discovered valid
 /// paths — translated into the *main* session's pool, sorted into
 /// sequential DFS order — plus merged per-call statistics. Worker counters
 /// and hash obligations fold into `session` / `ctx` exactly as a sequential
@@ -385,8 +365,6 @@ pub(crate) fn explore_parallel(
     ctx: &mut SymCtx,
     start: NodeId,
     targets: &HashSet<NodeId>,
-    base_constraints: &[TermId],
-    initial_values: &[(FieldId, TermId)],
     config: &ExecConfig,
 ) -> (Vec<RawPath>, ExecStats) {
     let mut threads = config.threads.max(1);
@@ -419,8 +397,9 @@ pub(crate) fn explore_parallel(
             ctx,
             start,
             targets,
-            base_constraints,
-            initial_values,
+            &[],
+            true,
+            &[],
             config,
             &mut |p| paths.push(p),
         );
@@ -428,18 +407,14 @@ pub(crate) fn explore_parallel(
     }
     let t0 = Instant::now();
 
-    // Seed task: the caller's prefix ids are main-pool ids, valid verbatim
-    // in every forked worker pool — no translation needed.
+    // Seed task: the start node under an empty prefix.
     let shared = session.pool.len() as u32;
-    let mut vals: Vec<(FieldId, TermId)> = initial_values.to_vec();
-    vals.sort_by_key(|&(f, _)| f);
     let frontier = Frontier::new(Task {
         trace: Vec::new(),
         pool: None,
-        constraints: base_constraints.to_vec(),
-        values: vals,
+        constraints: Vec::new(),
+        values: Vec::new(),
         arms: vec![(start, None)],
-        decided: true,
     });
     let budget = ExploreBudget::new(config, t0);
     let scope: Option<String> = ctx.scope().map(str::to_string);
@@ -544,6 +519,7 @@ pub(crate) fn explore_parallel(
         stats.pruned += out.session.exec.pruned;
         stats.smt_checks += out.session.exec.smt_checks;
         stats.batched_probes += out.session.exec.batched_probes;
+        stats.arms_independent += out.session.exec.arms_independent;
         stats.arm_batches += out.session.exec.arm_batches;
         stats.timed_out |= out.session.exec.timed_out;
         session.merge_worker(&out.session.exec, &out.session.solver_stats(), &out.session.sat_stats());
@@ -568,6 +544,8 @@ pub(crate) struct ExploreJob {
     pub targets: HashSet<NodeId>,
     /// Base constraints (main-pool ids).
     pub base: Vec<TermId>,
+    /// Is `base` known satisfiable, as a valid path's constraints are?
+    pub base_sat: bool,
     /// Initial value-stack seed (main-pool ids).
     pub seeds: Vec<(FieldId, TermId)>,
     /// Variable scope for the job's fresh [`SymCtx`].
@@ -641,6 +619,7 @@ pub(crate) fn explore_batch(
                             job.start,
                             &job.targets,
                             &job.base,
+                            job.base_sat,
                             &job.seeds,
                             config,
                             &mut |p| paths.push(p),
@@ -890,6 +869,7 @@ mod tests {
                     start: cfg.entry(),
                     targets: HashSet::new(),
                     base: vec![pin],
+                    base_sat: false,
                     seeds: Vec::new(),
                     scope: None,
                 }

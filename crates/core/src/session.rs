@@ -128,6 +128,7 @@ impl SolveSession {
         self.exec.pruned += delta.pruned;
         self.exec.smt_checks += delta.smt_checks;
         self.exec.batched_probes += delta.batched_probes;
+        self.exec.arms_independent += delta.arms_independent;
         self.exec.arm_batches += delta.arm_batches;
         self.exec.elapsed += delta.elapsed;
         self.exec.timed_out |= delta.timed_out;
@@ -237,6 +238,7 @@ mod tests {
                 pruned: 1,
                 smt_checks: 9,
                 batched_probes: 4,
+                arms_independent: 1,
                 arm_batches: 2,
                 elapsed: std::time::Duration::from_millis(5),
                 timed_out: false,
@@ -247,6 +249,7 @@ mod tests {
                 pruned: 0,
                 smt_checks: 7,
                 batched_probes: 2,
+                arms_independent: 0,
                 arm_batches: 1,
                 elapsed: std::time::Duration::from_millis(4),
                 timed_out: false,
@@ -257,6 +260,7 @@ mod tests {
                 pruned: 2,
                 smt_checks: 5,
                 batched_probes: 0,
+                arms_independent: 0,
                 arm_batches: 0,
                 elapsed: std::time::Duration::from_millis(1),
                 timed_out: false,
@@ -309,6 +313,7 @@ mod tests {
         assert_eq!(main.exec.pruned, 3);
         assert_eq!(main.exec.smt_checks, 21);
         assert_eq!(main.exec.batched_probes, 6);
+        assert_eq!(main.exec.arms_independent, 1);
         assert_eq!(main.exec.arm_batches, 3);
         assert!(!main.exec.timed_out);
         // Solver tallies: sums; peak depth via max; live depth is the main
@@ -374,6 +379,7 @@ mod tests {
             pruned: 1,
             smt_checks: 5,
             batched_probes: 3,
+            arms_independent: 2,
             arm_batches: 1,
             elapsed: std::time::Duration::from_millis(2),
             timed_out: false,
@@ -383,6 +389,7 @@ mod tests {
         assert_eq!(s.exec.paths_explored, 6);
         assert_eq!(s.exec.smt_checks, 10);
         assert_eq!(s.exec.batched_probes, 6);
+        assert_eq!(s.exec.arms_independent, 4);
         assert_eq!(s.exec.arm_batches, 2);
         assert!(!s.exec.timed_out);
     }

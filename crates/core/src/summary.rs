@@ -115,8 +115,6 @@ pub fn summarize(cfg: &mut Cfg, session: &mut SolveSession, config: &ExecConfig)
             &mut prog_ctx,
             cfg.entry(),
             &targets,
-            &[],
-            &[],
             config,
         );
         stats.absorb(&st);
@@ -716,6 +714,9 @@ fn summarize_pipelines_batched(
                     start: plan.entry,
                     targets: std::iter::once(plan.exit).collect(),
                     base: g.base.clone(),
+                    // The pre-condition and its binding equations are
+                    // never checked on their own.
+                    base_sat: false,
                     seeds: g.seeds.clone(),
                     scope: Some(plan.name.clone()),
                 });
@@ -755,6 +756,8 @@ fn summarize_pipelines_batched(
                     start: entry_of[*idx],
                     targets: laters[pi].clone(),
                     base: seed.constraints.clone(),
+                    // A seed is a valid path: every arm on it was Sat.
+                    base_sat: true,
                     seeds: seed.final_values.clone(),
                     scope: None,
                 });

@@ -33,7 +33,7 @@ pub use exp::{AExp, AOp, BExp, BOp, CmpOp, Stmt};
 pub use fields::{FieldId, FieldTable};
 pub use hash::HashAlg;
 pub use match_index::MatchIndex;
-pub use paths::{count_paths, count_paths_between, enumerate_paths, PathCounts};
+pub use paths::{count_paths, count_paths_between, count_paths_with, enumerate_paths, PathCounts};
 pub use unroll::{
     is_register_field, sequence_field_name, unroll, InitialState, UnrolledCfg,
     REGISTER_FIELD_PREFIX,

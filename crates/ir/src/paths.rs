@@ -7,7 +7,6 @@
 
 use crate::cfg::{Cfg, NodeId};
 use meissa_num::BigUint;
-use std::collections::HashMap;
 
 /// Path-count results for a CFG.
 #[derive(Clone, Debug)]
@@ -34,29 +33,46 @@ pub fn count_paths(cfg: &Cfg) -> PathCounts {
 /// Counts paths from `from` to `to` (or to any terminal node when `to` is
 /// `None`). Runs in `O(V + E)` BigUint operations.
 pub fn count_paths_between(cfg: &Cfg, from: NodeId, to: Option<NodeId>) -> BigUint {
+    count_paths_with(
+        cfg,
+        from,
+        to,
+        BigUint::zero(),
+        BigUint::one(),
+        BigUint::add_assign,
+    )
+}
+
+/// Path counting in any count type: one reverse-topological pass over a
+/// dense per-node table, where a path's end counts `one` and `add` folds a
+/// successor's count into its predecessor's in place. Counts paths from
+/// `from` to `to` (or to any terminal node when `to` is `None`); an
+/// unreachable `from` counts `zero`.
+pub fn count_paths_with<T: Clone>(
+    cfg: &Cfg,
+    from: NodeId,
+    to: Option<NodeId>,
+    zero: T,
+    one: T,
+    add: impl Fn(&mut T, &T),
+) -> T {
     // Count, for each node, the number of maximal paths starting at it,
     // processing nodes in reverse topological order.
-    let order = cfg.topo_order();
-    let mut counts: HashMap<NodeId, BigUint> = HashMap::new();
-    for &n in order.iter().rev() {
-        let c = if Some(n) == to {
-            BigUint::one()
-        } else if cfg.succ(n).is_empty() {
-            if to.is_none() {
-                BigUint::one()
-            } else {
-                BigUint::zero()
-            }
+    let mut counts = vec![zero.clone(); cfg.num_nodes()];
+    for &n in cfg.topo_order().iter().rev() {
+        let succ = cfg.succ(n);
+        let c = if Some(n) == to || (succ.is_empty() && to.is_none()) {
+            one.clone()
         } else {
-            let mut acc = BigUint::zero();
-            for &s in cfg.succ(n) {
-                acc = acc.add(&counts[&s]);
+            let mut acc = zero.clone();
+            for &s in succ {
+                add(&mut acc, &counts[s.0 as usize]);
             }
             acc
         };
-        counts.insert(n, c);
+        counts[n.0 as usize] = c;
     }
-    counts.get(&from).cloned().unwrap_or_else(BigUint::zero)
+    counts.swap_remove(from.0 as usize)
 }
 
 /// Enumerates possible paths from the entry, stopping after `limit` paths.

@@ -68,6 +68,27 @@ impl BigUint {
         r
     }
 
+    /// `self += other`, in place: allocates only when the sum outgrows the
+    /// limbs `self` already holds.
+    pub fn add_assign(&mut self, other: &BigUint) {
+        if self.limbs.len() < other.limbs.len() {
+            self.limbs.resize(other.limbs.len(), 0);
+        }
+        let mut carry = 0u64;
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            let b = *other.limbs.get(i).unwrap_or(&0) as u64;
+            if b == 0 && carry == 0 && i >= other.limbs.len() {
+                break;
+            }
+            let s = *limb as u64 + b + carry;
+            *limb = s as u32;
+            carry = s >> 32;
+        }
+        if carry > 0 {
+            self.limbs.push(carry as u32);
+        }
+    }
+
     /// `self * other` (schoolbook; path counting multiplies small factors).
     pub fn mul(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
@@ -217,6 +238,26 @@ mod tests {
         let a = BigUint::from_u64(u64::MAX);
         let b = BigUint::from_u64(1);
         assert_eq!(a.add(&b).to_string(), "18446744073709551616");
+    }
+
+    #[test]
+    fn add_assign_matches_add() {
+        let big = BigUint::pow(&BigUint::from_u64(u64::MAX), 3);
+        let vals = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from_u64(u32::MAX as u64),
+            BigUint::from_u64(u64::MAX),
+            big.clone(),
+            big.add(&BigUint::one()),
+        ];
+        for a in &vals {
+            for b in &vals {
+                let mut c = a.clone();
+                c.add_assign(b);
+                assert_eq!(c, a.add(b), "{a} + {b}");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,13 @@ impl TermId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct VarId(pub(crate) u32);
 
+impl VarId {
+    /// Dense index of the variable within its pool (for side tables).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Binary bitvector operators with bitvector result.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BvBinOp {

@@ -299,7 +299,10 @@ fn indexed_verdicts_match_eval_const() {
 /// gw-1 with 1,024 EIPs: `vni_underlay` and `nh_rewrite` match on the
 /// `meta.vni` constant `eip_lookup` wrote, 2,048 table visits a run that the
 /// index decides. Exact values at one and two threads: every arm still
-/// counts one folded check, and every false one a prune.
+/// counts one folded check, and every false one a prune. Of the 2,054
+/// arms left to batches, 2,050 are `x == c` on a variable free on the
+/// path and are decided Sat without the solver; the SAT engine sees the
+/// other 4 at most.
 #[test]
 fn gw1_wide_counters_are_pinned() {
     let program = gw(1, GwScale { eips: 1024 }).program;
@@ -319,8 +322,16 @@ fn gw1_wide_counters_are_pinned() {
             "paths_explored at {threads} threads"
         );
         assert_eq!(
-            s.solver.sat_engine_calls, 2_054,
+            s.solver.sat_engine_calls, 3,
             "sat_engine_calls at {threads} threads"
+        );
+        assert_eq!(
+            s.arms_independent, 2_050,
+            "arms_independent at {threads} threads"
+        );
+        assert_eq!(
+            s.batched_probes, 2_054,
+            "batched_probes at {threads} threads"
         );
     }
 }

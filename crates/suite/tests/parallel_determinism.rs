@@ -40,7 +40,8 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
         })
         .collect();
     let stats = format!(
-        "valid={} before={} after={} explored={} pruned={} checks={}",
+        "valid={} before={} after={} explored={} pruned={} checks={} \
+         batched={} batches={} independent={}",
         run.stats.valid_paths,
         run.stats.paths_before,
         run.stats.paths_after,
@@ -57,6 +58,12 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
         // job-level counters, which *are* partition-independent, get their
         // own assertion below.
         run.stats.smt_checks,
+        // Every branch point's arms are decided as one batch by the walker
+        // that visits it, and whether an arm is independent of its path
+        // depends on the path alone.
+        run.stats.batched_probes,
+        run.stats.arm_batches,
+        run.stats.arms_independent,
     );
     (templates, stats)
 }
@@ -131,9 +138,9 @@ fn corpus_plain_dfs_is_thread_count_invariant() {
     // code_summary off: the work-stealing DFS itself carries the whole
     // search, so this exercises donation + deterministic merge directly.
     // gw-1 is a single pipeline with two 257-way tables: its wide branches
-    // are split into range tasks, mid-walk and mid-batch, whose arms ship
-    // with their parent's verdicts — and every arm must still be decided
-    // exactly once.
+    // are split into range tasks mid-walk, whose arms ship with their
+    // parent's verdicts — and every arm must still be decided exactly
+    // once.
     for name in ["router", "mtag", "gw1-wide"] {
         assert_thread_invariant(name, |threads| MeissaConfig {
             code_summary: false,
@@ -201,6 +208,9 @@ fn summary_solver_counters_are_thread_count_invariant() {
     // runs 2,080 seed-extension jobs, so warm batch workers see long,
     // schedule-dependent job sequences. Exact values, so the counters
     // also stay those of an engine that gives every job a fresh solver.
+    // 1,042 arms are `x == c` guards on a variable free on the path and
+    // are decided Sat without the solver, which took `sat_engine_calls`
+    // from 32,348 to 31,303.
     let w = workload("gw3");
     for threads in [1usize, 2, 4] {
         let got = Meissa {
@@ -216,8 +226,12 @@ fn summary_solver_counters_are_thread_count_invariant() {
             "smt_checks at {threads} threads"
         );
         assert_eq!(
-            got.stats.solver.sat_engine_calls, 32_348,
+            got.stats.solver.sat_engine_calls, 31_303,
             "sat_engine_calls at {threads} threads"
+        );
+        assert_eq!(
+            got.stats.arms_independent, 1_042,
+            "arms_independent at {threads} threads"
         );
     }
 }

@@ -57,6 +57,17 @@ echo "MEISSA_PROP_SEED=$ARM_SEED"
 MEISSA_PROP_SEED="$ARM_SEED" cargo test -q --offline -p meissa-suite --test arm_index \
   indexed_verdicts_match_eval_const
 
+echo "==> differential: walker independence shortcut vs the path solver, fresh seed"
+# The walker decides an `x == c` arm Sat without the solver when no live
+# path constraint mentions `x`; `check_under` on a solver holding exactly
+# the path's constraints is the oracle it must match. This run draws fresh
+# random rule sets, path prefixes and walks (seed printed, so a failure
+# reproduces with MEISSA_PROP_SEED=<seed>).
+INDEP_SEED="$(date +%s)"
+echo "MEISSA_PROP_SEED=$INDEP_SEED"
+MEISSA_PROP_SEED="$INDEP_SEED" cargo test -q --offline -p meissa-suite --test arm_independence \
+  free_eq_verdicts_match_check_under
+
 echo "==> plan validity oracle: warm-solver plans on fresh random gw-3 rule sets"
 # The case planner solves a whole chunk of templates on one solver, so
 # every planned input is checked against its own template: constraints
