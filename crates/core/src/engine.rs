@@ -159,6 +159,10 @@ pub struct RunStats {
     /// Batched arms decided Sat without a solver call: `x == c` guards on a
     /// variable free on the path ([`crate::exec::ExecStats::arms_independent`]).
     pub arms_independent: u64,
+    /// Arms decided without a solver call by the constants live `x == c`
+    /// path constraints pin variables to
+    /// ([`crate::exec::ExecStats::arms_pinned`]).
+    pub arms_pinned: u64,
     /// Batched sibling probes issued (each covering ≥ 2 arms).
     pub arm_batches: u64,
     /// True when a time budget expired before completion.
@@ -320,6 +324,7 @@ impl Meissa {
         stats.pruned = session.exec.pruned;
         stats.batched_probes = session.exec.batched_probes;
         stats.arms_independent = session.exec.arms_independent;
+        stats.arms_pinned = session.exec.arms_pinned;
         stats.arm_batches = session.exec.arm_batches;
         stats.solver = session.solver_stats();
         stats.sat = session.sat_stats();
@@ -352,6 +357,7 @@ impl Meissa {
             run_span.field("batched_probes", stats.batched_probes);
             run_span.field("arm_batches", stats.arm_batches);
             run_span.field("arms_independent", stats.arms_independent);
+            run_span.field("arms_pinned", stats.arms_pinned);
             run_span.field("sat_engine_calls", stats.solver.sat_engine_calls);
             run_span.field("model_reuse", stats.solver.model_reuse);
             run_span.field("sat_propagations", stats.sat.propagations);

@@ -20,8 +20,9 @@
 use crate::session::SolveSession;
 use crate::symstate::{SymCtx, ValueStack};
 use crate::template::{HashObligation, TestTemplate};
-use meissa_ir::{Cfg, MatchIndex, NodeId, Stmt};
-use meissa_smt::term::CmpOp;
+use meissa_ir::{AExp, BExp, Cfg, FieldTable, MatchIndex, NodeId, Stmt};
+use meissa_num::Bv;
+use meissa_smt::term::{CmpOp, EvalValue};
 use meissa_smt::{CheckResult, Solver, TermId, TermNode, TermPool, VarId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -155,7 +156,10 @@ pub(crate) type Arms = Vec<(NodeId, Option<PreArm>)>;
 pub(crate) trait WorkSharer: Sync {
     /// Is anyone idle with nothing queued? Consulted before every sibling
     /// a walker descends into, so it must cost a couple of atomic loads.
-    fn hungry(&self) -> bool;
+    /// `engine_calls` is the asking walker's SAT-engine calls so far: the
+    /// solver work its subtrees have shown, which a frontier may require
+    /// before it lets idle workers in.
+    fn hungry(&self, engine_calls: u64) -> bool;
     /// Enqueues one range task. `pool` is the donor's pool — prefix terms
     /// and the arms' conjuncts must be translated into a pool the task
     /// owns, since the donor keeps mutating its own.
@@ -283,6 +287,12 @@ pub struct ExecStats {
     /// ([`PathVars::is_free_eq`]). Each is one of `batched_probes` and
     /// still counts one `smt_checks`.
     pub arms_independent: u64,
+    /// Arms decided without a solver call by the constants live `x == c`
+    /// path constraints pin variables to ([`PathVars::pin`]): refuted ones
+    /// count one folded `smt_checks` and one `pruned`, as a fold does;
+    /// accepted ones are among `batched_probes` and count one
+    /// `smt_checks`, as an independent arm does.
+    pub arms_pinned: u64,
     /// Branch points whose sibling arms were probed as one batch.
     pub arm_batches: u64,
     /// Wall-clock time of the execution.
@@ -440,7 +450,7 @@ fn push_operands(node: &TermNode, stack: &mut Vec<TermId>) {
 /// Splits a boolean term into its top-level conjuncts, appending them to
 /// `out`. `a && (b && c)` yields `[a, b, c]`; non-conjunction terms are
 /// appended as-is.
-pub(crate) fn flatten_conjuncts(pool: &TermPool, t: TermId, out: &mut Vec<TermId>) {
+pub fn flatten_conjuncts(pool: &TermPool, t: TermId, out: &mut Vec<TermId>) {
     if let TermNode::BoolAnd(a, b) = *pool.node(t) {
         flatten_conjuncts(pool, a, out);
         flatten_conjuncts(pool, b, out);
@@ -450,27 +460,48 @@ pub(crate) fn flatten_conjuncts(pool: &TermPool, t: TermId, out: &mut Vec<TermId
 }
 
 /// The variables of the constraints live on a walker's path, kept as the
-/// number of live constraints that mention each one. The walker adds a
-/// constraint's variables when it asserts the constraint and drops them
-/// when it backtracks past it, so asking whether a variable is free on the
-/// path costs one lookup.
+/// number of live constraints that mention each one, and the constants
+/// live `x == c` constraints pin variables to. The walker adds a
+/// constraint when it asserts it and drops it when it backtracks past it,
+/// so asking whether a variable is free on the path, or what it is pinned
+/// to, costs one lookup.
 ///
 /// This is constraint independence (KLEE, Cadar et al., OSDI 2008) in its
 /// cheapest form: when the path condition is satisfiable and leaves `x`
 /// free, `x == c` (with `c` of `x`'s width) is satisfiable together with
 /// it, so [`Walker::decide_arms`] decides such an arm Sat without asking
-/// the solver.
+/// the solver. Pins are KLEE's constraint-set simplification in the same
+/// spirit: a path whose constraints imply `x == k` refutes every guard
+/// that is false with `x` at `k`, and takes one that is true with it.
 #[derive(Default)]
 pub struct PathVars {
     /// Live constraints mentioning each variable, by [`VarId::index`].
     counts: Vec<u32>,
     /// Each live constraint's distinct variables, in push order.
     vars: Vec<VarId>,
-    /// `vars.len()` before each live constraint.
-    marks: Vec<usize>,
+    /// The constant each variable is pinned to, by [`VarId::index`].
+    pins: Vec<Option<Bv>>,
+    /// Each live pinning constraint's variable and the pin it replaced, in
+    /// push order.
+    repins: Vec<(VarId, Option<Bv>)>,
+    /// `vars.len()` and `repins.len()` before each live constraint.
+    marks: Vec<(usize, usize)>,
     /// Buffers reused by the DAG walk in `push`.
     seen: HashSet<TermId>,
     stack: Vec<TermId>,
+}
+
+/// `t` as `x == c` with `c` a constant of `x`'s width.
+fn var_const_eq(pool: &TermPool, t: TermId) -> Option<(VarId, Bv)> {
+    let TermNode::Cmp(CmpOp::Eq, a, b) = *pool.node(t) else {
+        return None;
+    };
+    let (x, c) = match (pool.node(a), pool.node(b)) {
+        (&TermNode::BvVar(x), &TermNode::BvConst(c))
+        | (&TermNode::BvConst(c), &TermNode::BvVar(x)) => (x, c),
+        _ => return None,
+    };
+    (c.width() == pool.var_width(x)).then_some((x, c))
 }
 
 impl PathVars {
@@ -481,7 +512,14 @@ impl PathVars {
 
     /// Adds constraint `t` to the path.
     pub fn push(&mut self, pool: &TermPool, t: TermId) {
-        self.marks.push(self.vars.len());
+        self.marks.push((self.vars.len(), self.repins.len()));
+        if let Some((x, c)) = var_const_eq(pool, t) {
+            if self.pins.len() <= x.index() {
+                self.pins.resize(x.index() + 1, None);
+            }
+            let prev = self.pins[x.index()].replace(c);
+            self.repins.push((x, prev));
+        }
         self.seen.clear();
         self.stack.push(t);
         while let Some(t) = self.stack.pop() {
@@ -503,11 +541,15 @@ impl PathVars {
 
     /// Drops every constraint past the first `len`.
     pub fn truncate(&mut self, len: usize) {
-        let Some(&from) = self.marks.get(len) else {
+        let Some(&(vars_from, repins_from)) = self.marks.get(len) else {
             return;
         };
-        for x in self.vars.drain(from..) {
+        for x in self.vars.drain(vars_from..) {
             self.counts[x.index()] -= 1;
+        }
+        while self.repins.len() > repins_from {
+            let (x, prev) = self.repins.pop().expect("checked length");
+            self.pins[x.index()] = prev;
         }
         self.marks.truncate(len);
     }
@@ -516,15 +558,69 @@ impl PathVars {
     /// mentions and a constant of its width? If the live constraints are
     /// satisfiable, so is their conjunction with such a `t`.
     pub fn is_free_eq(&self, pool: &TermPool, t: TermId) -> bool {
-        let TermNode::Cmp(CmpOp::Eq, a, b) = *pool.node(t) else {
+        var_const_eq(pool, t)
+            .is_some_and(|(x, _)| self.counts.get(x.index()).is_none_or(|&n| n == 0))
+    }
+
+    /// The constant a live constraint `x == c` pins `x` to (the latest such
+    /// constraint's, when several do).
+    pub fn pin(&self, x: VarId) -> Option<Bv> {
+        self.pins.get(x.index()).copied().flatten()
+    }
+
+    /// Is guard `b` a comparison `field == k` whose field reads, under the
+    /// value stack `v`, a variable pinned to a constant other than `k`? The
+    /// path's constraints then imply the guard is false, satisfiable or
+    /// not, so the walker refutes the arm before [`SymCtx::bexp`]
+    /// translates it. Reading the field may intern its input variable, as
+    /// translating the guard would.
+    pub fn refutes(
+        &self,
+        pool: &mut TermPool,
+        ctx: &mut SymCtx,
+        fields: &FieldTable,
+        v: &ValueStack,
+        b: &BExp,
+    ) -> bool {
+        if self.repins.is_empty() {
+            return false;
+        }
+        let BExp::Cmp(meissa_ir::CmpOp::Eq, l, r) = b else {
             return false;
         };
-        let (x, c) = match (pool.node(a), pool.node(b)) {
-            (&TermNode::BvVar(x), TermNode::BvConst(c))
-            | (TermNode::BvConst(c), &TermNode::BvVar(x)) => (x, c),
+        let (f, k) = match (l, r) {
+            (AExp::Field(f), AExp::Const(k)) | (AExp::Const(k), AExp::Field(f)) => (*f, *k),
             _ => return false,
         };
-        c.width() == pool.var_width(x) && self.counts.get(x.index()).is_none_or(|&n| n == 0)
+        let t = ctx.read(pool, fields, v, f);
+        match *pool.node(t) {
+            TermNode::BvVar(x) => self
+                .pin(x)
+                .is_some_and(|c| c.width() == k.width() && c != k),
+            _ => false,
+        }
+    }
+
+    /// Decides the conjunction of `conjuncts` under the pins: `Some(false)`
+    /// when some conjunct evaluates to false with every pinned variable at
+    /// its pin, `Some(true)` when every one evaluates to true. The path's
+    /// constraints imply their pins, so a false conjunct makes the arm
+    /// infeasible on any path, and an all-true one makes it feasible on any
+    /// satisfiable path. `None` when a conjunct reads a variable with no pin.
+    pub fn decide(&self, pool: &TermPool, conjuncts: &[TermId]) -> Option<bool> {
+        if self.repins.is_empty() {
+            return None;
+        }
+        let env = |x: VarId| self.pin(x);
+        let mut all = true;
+        for &c in conjuncts {
+            match pool.eval(c, &env) {
+                Some(EvalValue::Bool(false)) => return Some(false),
+                Some(_) => {}
+                None => all = false,
+            }
+        }
+        all.then_some(true)
     }
 }
 
@@ -581,8 +677,9 @@ pub fn explore(
 /// must index `cfg`; callers running several explorations of one graph
 /// share one. `base_sat` says the caller knows `base_constraints` to be
 /// satisfiable (an empty base always is). Otherwise the walker does not
-/// assume it: it decides arms without the solver ([`PathVars`]) only after
-/// the first Sat answer.
+/// assume it: it accepts arms without the solver ([`PathVars`]) only after
+/// the first Sat answer. Refuting an arm against a pinned variable needs
+/// no satisfiable base.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_in_session(
     cfg: &Cfg,
@@ -624,8 +721,8 @@ pub fn explore_in_session(
 /// re-checking), and `initial_values` (the value stack at the arms). The
 /// arms carry their parent's verdicts and are never probed again.
 /// `prefix_sat` says the prefix is known satisfiable — empty, or validated
-/// by the donor — which lets the walker decide path-independent arms
-/// without the solver from the start. Budget state is shared through
+/// by the donor — which lets the walker accept arms without the solver
+/// from the start. Budget state is shared through
 /// `budget`; `sharer`, when present, may be handed part of any open
 /// sibling range.
 #[allow(clippy::too_many_arguments)]
@@ -663,6 +760,7 @@ pub(crate) fn explore_task(
         arm_index,
         all_constraints: Vec::with_capacity(prefix_constraints.len()),
         path_vars: PathVars::new(),
+        engine_calls: 0,
         sat_known: prefix_sat,
         trace: prefix_trace.to_vec(),
         // Only the incremental early-termination configuration decides
@@ -704,6 +802,8 @@ struct Walker<'a> {
     all_constraints: Vec<TermId>,
     /// The variables of `all_constraints` (kept only with `batch_arms`).
     path_vars: PathVars,
+    /// SAT-engine calls this walker's checks have made.
+    engine_calls: u64,
     /// Are the live constraints known satisfiable? True from the start
     /// under a prefix known satisfiable, and from the first Sat answer of
     /// a batch on: every constraint pushed after that belongs to an arm
@@ -766,7 +866,10 @@ impl Walker<'_> {
     /// incremental/non-incremental configuration.
     fn check(&mut self, pool: &mut TermPool, solver: &mut Solver) -> CheckResult {
         if self.config.incremental {
-            solver.check(pool)
+            let engine_calls = solver.stats.sat_engine_calls;
+            let r = solver.check(pool);
+            self.engine_calls += solver.stats.sat_engine_calls - engine_calls;
+            r
         } else {
             // Fresh solver per query: what a tool without push/pop pays.
             self.stats.smt_checks += 1;
@@ -775,7 +878,9 @@ impl Walker<'_> {
             for &c in &self.all_constraints {
                 fresh.assert_term(pool, c);
             }
-            fresh.check(pool)
+            let r = fresh.check(pool);
+            self.engine_calls += fresh.stats.sat_engine_calls;
+            r
         }
     }
 
@@ -786,10 +891,14 @@ impl Walker<'_> {
     /// count exactly what the per-arm fold below would. A guard
     /// [`SymCtx::eval_const`] settles never reaches the pool; one that
     /// folds during translation is settled the same way — one folded
-    /// validity check each, under Algorithm 1's accounting. The rest are
-    /// decided as one batch, counted per arm: while the live constraints
-    /// are known satisfiable, a guard `x == c` on a variable free on the
-    /// path ([`PathVars::is_free_eq`]) is Sat without a solver call, and
+    /// validity check each, under Algorithm 1's accounting. So is a guard
+    /// the path's pins refute ([`PathVars::pin`]): `field == k` on a field
+    /// that reads a variable pinned to another constant, before
+    /// translation, or a translated guard with a conjunct false under the
+    /// pins ([`PathVars::decide`]). The rest are decided as one batch,
+    /// counted per arm: while the live constraints are known satisfiable,
+    /// a guard true under the pins, or `x == c` on a variable free on the
+    /// path ([`PathVars::is_free_eq`]), is Sat without a solver call, and
     /// every other guard is probed in one batched solver interaction
     /// ([`meissa_smt::Solver::check_under`] over the live frames). Arms
     /// found infeasible are pruned here and never visited. Markers,
@@ -829,10 +938,10 @@ impl Walker<'_> {
         // Positions in `arms` awaiting a probe, with their guards.
         let mut pending = Vec::new();
         let mut terms = Vec::new();
-        let mut independent = 0;
+        let (mut independent, mut accepted) = (0, 0);
         for &child in &children[first..] {
             let b = match self.cfg.stmt(child) {
-                Stmt::Assume(b) if b != &meissa_ir::BExp::True => b,
+                Stmt::Assume(b) if b != &BExp::True => b,
                 // Structural markers carry no validity question.
                 _ => {
                     arms.push((child, None));
@@ -841,12 +950,16 @@ impl Walker<'_> {
             };
             let decided = match SymCtx::eval_const(pool, v, b) {
                 Some(k) => Ok(k),
+                None if self.path_vars.refutes(pool, ctx, &self.cfg.fields, v, b) => {
+                    self.stats.arms_pinned += 1;
+                    Ok(false)
+                }
                 None => {
                     let t = ctx.bexp(pool, &self.cfg.fields, v, b);
                     pool.as_bool_const(t).ok_or(t)
                 }
             };
-            match decided {
+            let (t, conjuncts) = match decided {
                 Ok(k) => {
                     self.stats.smt_checks += 1; // folded validity check
                     if k {
@@ -854,26 +967,43 @@ impl Walker<'_> {
                     } else {
                         self.stats.pruned += 1;
                     }
+                    continue;
                 }
                 Err(t) => {
                     let mut conjuncts = Vec::new();
                     flatten_conjuncts(pool, t, &mut conjuncts);
                     conjuncts.sort_by_key(|&c| pool.term_hash(c));
-                    if self.sat_known && self.path_vars.is_free_eq(pool, t) {
-                        independent += 1;
-                    } else {
-                        pending.push(arms.len());
-                        terms.push(t);
-                    }
-                    arms.push((child, Some(PreArm { conjuncts })));
+                    (t, conjuncts)
+                }
+            };
+            match self.path_vars.decide(pool, &conjuncts) {
+                Some(false) => {
+                    // Refuted by a pin: a folded validity check.
+                    self.stats.arms_pinned += 1;
+                    self.stats.smt_checks += 1;
+                    self.stats.pruned += 1;
+                    continue;
+                }
+                Some(true) if self.sat_known => accepted += 1,
+                _ if self.sat_known && self.path_vars.is_free_eq(pool, t) => independent += 1,
+                _ => {
+                    pending.push(arms.len());
+                    terms.push(t);
                 }
             }
+            arms.push((child, Some(PreArm { conjuncts })));
         }
-        // Each independent arm is one validity check answered Sat.
-        self.stats.smt_checks += independent;
+        // Each arm decided Sat without the solver is one validity check.
+        self.stats.smt_checks += independent + accepted;
         self.stats.arms_independent += independent;
-        crate::session::record_batch(self.stats, pending.len() + independent as usize);
+        self.stats.arms_pinned += accepted;
+        crate::session::record_batch(
+            self.stats,
+            pending.len() + (independent + accepted) as usize,
+        );
+        let engine_calls = solver.stats.sat_engine_calls;
         let verdicts = solver.check_under(pool, &terms);
+        self.engine_calls += solver.stats.sat_engine_calls - engine_calls;
         let mut skip = vec![false; arms.len()];
         for (&i, verdict) in pending.iter().zip(verdicts) {
             match verdict {
@@ -942,7 +1072,7 @@ impl Walker<'_> {
         let Some(sh) = self.sharer else {
             return;
         };
-        if !sh.hungry() {
+        if !sh.hungry(self.engine_calls) {
             return;
         }
         let Some(f) = self
@@ -1003,7 +1133,7 @@ impl Walker<'_> {
                 // without the SAT engine — cheaper, but still a check, so
                 // the Fig. 11b "number of SMT calls" metric stays
                 // comparable with the paper's implementation.
-                let is_marker = b == &meissa_ir::BExp::True;
+                let is_marker = b == &BExp::True;
                 let t = ctx.bexp(pool, &self.cfg.fields, v, b);
                 match pool.as_bool_const(t) {
                     Some(true) => {
@@ -1108,7 +1238,7 @@ impl Walker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meissa_ir::{AExp, BExp, CfgBuilder, CmpOp, FieldId};
+    use meissa_ir::{CfgBuilder, CmpOp, FieldId};
     use meissa_num::Bv;
 
     fn field(b: &mut CfgBuilder, name: &str, w: u16) -> FieldId {
@@ -1509,6 +1639,138 @@ mod tests {
         assert!(!pv.is_free_eq(&pool, x_eq));
         pv.truncate(0);
         assert!(pv.is_free_eq(&pool, x_eq));
+    }
+
+    #[test]
+    fn pins_follow_push_and_truncate() {
+        let mut pool = TermPool::new();
+        let x = pool.var("x", 8);
+        let y = pool.var("y", 8);
+        let [one, two, three] = [1, 2, 3].map(|k| pool.bv_const(Bv::new(8, k)));
+        let x_is_1 = pool.eq(x, one);
+        let two_is_x = pool.eq(two, x);
+        let x_lt_3 = pool.ult(x, three);
+        let sum = pool.add(x, y);
+        let sum_is_3 = pool.eq(sum, three);
+        let (xv, yv) = match (pool.node(x), pool.node(y)) {
+            (&TermNode::BvVar(xv), &TermNode::BvVar(yv)) => (xv, yv),
+            _ => unreachable!("variables"),
+        };
+        let mut pv = PathVars::new();
+        assert_eq!(pv.pin(xv), None);
+        pv.push(&pool, x_is_1);
+        assert_eq!(pv.pin(xv), Some(Bv::new(8, 1)));
+        pv.push(&pool, x_lt_3);
+        pv.push(&pool, sum_is_3);
+        assert_eq!(pv.pin(xv), Some(Bv::new(8, 1)), "only x == c pins");
+        assert_eq!(pv.pin(yv), None, "x + y == 3 pins nothing");
+        // A constant on the left pins too; the latest pin wins.
+        pv.push(&pool, two_is_x);
+        assert_eq!(pv.pin(xv), Some(Bv::new(8, 2)));
+        pv.truncate(3);
+        assert_eq!(pv.pin(xv), Some(Bv::new(8, 1)), "the earlier pin is back");
+        pv.truncate(1);
+        assert_eq!(pv.pin(xv), Some(Bv::new(8, 1)));
+        pv.truncate(0);
+        assert_eq!(pv.pin(xv), None);
+        // Under the pins, a conjunct is decided only when every variable it
+        // reads is pinned.
+        pv.push(&pool, x_is_1);
+        assert_eq!(pv.decide(&pool, &[x_lt_3]), Some(true));
+        assert_eq!(pv.decide(&pool, &[two_is_x]), Some(false));
+        assert_eq!(pv.decide(&pool, &[sum_is_3]), None);
+        assert_eq!(pv.decide(&pool, &[sum_is_3, two_is_x]), Some(false));
+        assert_eq!(pv.decide(&pool, &[sum_is_3, x_lt_3]), None);
+    }
+
+    /// A three-way branch on fields `y` and `z`: `y == 3`, `y == 4`, or
+    /// `z == 1 && y == 5`.
+    fn pinned_branch_cfg() -> Cfg {
+        let mut b = CfgBuilder::new();
+        let y = field(&mut b, "y", 8);
+        let z = field(&mut b, "z", 8);
+        let eq = |f, k| BExp::Cmp(CmpOp::Eq, AExp::Field(f), AExp::Const(Bv::new(8, k)));
+        b.nop();
+        let base = b.frontier();
+        let mut arms = Vec::new();
+        for guard in [eq(y, 3), eq(y, 4), BExp::and(eq(z, 1), eq(y, 5))] {
+            b.set_frontier(base.clone());
+            b.stmt(Stmt::Assume(guard));
+            arms.push(b.frontier());
+        }
+        b.set_frontier(Vec::new());
+        b.merge_frontiers(arms);
+        b.nop();
+        b.finish()
+    }
+
+    /// Explores [`pinned_branch_cfg`] under `base` (constraints `name ==
+    /// k`), returning the paths found, the run's counters and its
+    /// SAT-engine calls.
+    fn run_pinned(base: &[(&str, u128)], base_sat: bool) -> (usize, ExecStats, u64) {
+        let cfg = pinned_branch_cfg();
+        let mut session = SolveSession::new();
+        let base: Vec<TermId> = base
+            .iter()
+            .map(|&(name, k)| {
+                let x = session.pool.var(name, 8);
+                let c = session.pool.bv_const(Bv::new(8, k));
+                session.pool.eq(x, c)
+            })
+            .collect();
+        let mut n = 0;
+        let stats = explore_in_session(
+            &cfg,
+            &ArmIndex::new(&cfg),
+            &mut session,
+            &mut SymCtx::new(None),
+            cfg.entry(),
+            &std::collections::HashSet::new(),
+            &base,
+            base_sat,
+            &[],
+            &ExecConfig::default(),
+            &mut |_| n += 1,
+        );
+        (n, stats, session.solver_stats().sat_engine_calls)
+    }
+
+    #[test]
+    fn pins_refute_arms_under_an_unchecked_base() {
+        // `y == 4` is refuted before translation and `z == 1 && y == 5` by
+        // its `y` conjunct; neither needs the base to be satisfiable. Each
+        // counts one folded check and one prune.
+        let (n, stats, _) = run_pinned(&[("y", 3)], false);
+        assert_eq!(n, 1);
+        assert_eq!(stats.arms_pinned, 2);
+        assert_eq!(stats.pruned, 2);
+        assert_eq!(stats.smt_checks, 3);
+        // The same under an unsat base: the pins refute the same two arms,
+        // and the solver refutes `y == 3`.
+        let (n, stats, _) = run_pinned(&[("y", 3), ("x", 1), ("x", 2)], false);
+        assert_eq!(n, 0, "an unsat base yields no path");
+        assert_eq!(stats.arms_pinned, 2);
+        assert_eq!(stats.pruned, 3);
+        assert_eq!(stats.smt_checks, 3);
+    }
+
+    #[test]
+    fn pins_accept_arms_only_under_a_satisfiable_path() {
+        // A known-satisfiable base: `y == 3` holds under the pin and is
+        // Sat without the SAT engine.
+        let (n, stats, engine_calls) = run_pinned(&[("y", 3)], true);
+        assert_eq!(n, 1);
+        assert_eq!(stats.arms_pinned, 3);
+        assert_eq!(stats.smt_checks, 3);
+        assert_eq!(engine_calls, 0);
+        // Unchecked, the same base sends `y == 3` to the solver.
+        let (n, stats, _) = run_pinned(&[("y", 3)], false);
+        assert_eq!(n, 1);
+        assert_eq!(stats.arms_pinned, 2);
+        // An unsat base that pins `y` to 3 must not take `y == 3`.
+        let (n, stats, _) = run_pinned(&[("x", 1), ("y", 3), ("x", 2)], false);
+        assert_eq!(n, 0);
+        assert_eq!(stats.arms_pinned, 2);
     }
 
     #[test]

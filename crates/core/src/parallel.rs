@@ -28,6 +28,10 @@
 //!   Every arm is decided once and every tree edge
 //!   is explored once, by exactly one worker — which is why merged
 //!   per-worker counters equal a sequential run's.
+//! * **Grant**: workers past the first wait until the seed task's walker
+//!   has made [`GRANT_ENGINE_CALLS`] SAT-engine calls. A tree with less
+//!   solver work than that is walked by worker 0 alone, in sequential DFS
+//!   order, and its fork becomes the main pool with no merge.
 //! * **Cancellation**: one shared [`ExploreBudget`] (an atomic state cell)
 //!   is polled by every walker; a template-cap or deadline trip observed by
 //!   any worker stops all of them promptly. Drained-but-cancelled tasks
@@ -49,7 +53,7 @@ use meissa_ir::{Cfg, FieldId, NodeId};
 use meissa_smt::{TermId, TermNode, TermPool};
 use meissa_testkit::obs;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -77,18 +81,35 @@ struct FrontierState {
     done: bool,
 }
 
+/// SAT-engine calls the seed task's walker must make before the frontier
+/// lets its other workers in. A subtree only pays for a second worker when
+/// it holds solver work: a donation snapshots its prefix and arms, the
+/// receiver imports them and re-blasts every guard into its own solver, and
+/// the merge re-sorts and re-imports every path. gw-1 with 1,024 EIPs
+/// (millions of possible paths, 3 engine calls, ~23 ms on one thread) took
+/// twice as long on two workers; plain-DFS gw-3 with 32 EIPs (2,663 engine
+/// calls, ~12 a millisecond) reaches the floor within a few milliseconds.
+const GRANT_ENGINE_CALLS: u64 = 32;
+
 /// The shared work queue. `idle_hint`/`queue_hint` mirror the mutex-guarded
 /// state so [`WorkSharer::hungry`] — consulted before every sibling a walker
 /// descends into — costs two relaxed atomic loads, not a lock.
+///
+/// Workers other than the first wait at a gate ([`Frontier::admit`]) until
+/// the frontier is granted: at once when the right-sizing is disabled, and
+/// otherwise once the seed task's walker reports [`GRANT_ENGINE_CALLS`]
+/// engine calls. Until then nobody is idle, so nothing is donated and the
+/// first worker walks the tree as the sequential engine does.
 struct Frontier {
     state: Mutex<FrontierState>,
     available: Condvar,
     idle_hint: AtomicUsize,
     queue_hint: AtomicUsize,
+    granted: AtomicBool,
 }
 
 impl Frontier {
-    fn new(initial: Task) -> Self {
+    fn new(initial: Task, granted: bool) -> Self {
         let mut tasks = VecDeque::new();
         tasks.push_back(initial);
         Frontier {
@@ -101,6 +122,27 @@ impl Frontier {
             available: Condvar::new(),
             idle_hint: AtomicUsize::new(0),
             queue_hint: AtomicUsize::new(1),
+            granted: AtomicBool::new(granted),
+        }
+    }
+
+    /// Blocks a worker other than the first until the frontier is granted
+    /// (true) or the run ends without needing it (false).
+    fn admit(&self) -> bool {
+        let mut st = self.state.lock().unwrap();
+        while !self.granted.load(Ordering::Relaxed) && !st.done {
+            st = self.available.wait(st).unwrap();
+        }
+        self.granted.load(Ordering::Relaxed)
+    }
+
+    /// Lets the waiting workers in. The store precedes the lock, so a
+    /// worker in [`Frontier::admit`] either sees it before it waits or is
+    /// waiting when the notification comes.
+    fn grant(&self) {
+        if !self.granted.swap(true, Ordering::Relaxed) {
+            let _st = self.state.lock().unwrap();
+            self.available.notify_all();
         }
     }
 
@@ -135,7 +177,13 @@ impl Frontier {
 }
 
 impl WorkSharer for Frontier {
-    fn hungry(&self) -> bool {
+    fn hungry(&self, engine_calls: u64) -> bool {
+        if !self.granted.load(Ordering::Relaxed) {
+            if engine_calls < GRANT_ENGINE_CALLS {
+                return false;
+            }
+            self.grant();
+        }
         // Donate only when starving workers outnumber queued tasks. Keeping
         // this strict matters: every donation snapshots its prefix and every
         // received task re-asserts it, so a sated frontier that kept
@@ -262,9 +310,19 @@ fn worker_loop(
     // a worker bounds it by retiring its solver after this many checks and
     // re-blasting the (shallow) next prefix into a fresh one.
     const WORKER_RESET_CHECKS: u64 = 512;
+    // A worker the frontier never admits did no work: no span, no pool.
+    let t_gate = Instant::now();
+    if wid > 0 && !frontier.admit() {
+        return WorkerOutput {
+            session: SolveSession::new(),
+            ctx: SymCtx::new(scope),
+            paths: Vec::new(),
+        };
+    }
     let t_worker = Instant::now();
     let mut span = obs::span("parallel.worker");
     span.field("wid", wid as u64);
+    span.field("gate_wait_us", (t_worker - t_gate).as_micros() as u64);
     let mut session = SolveSession::fork_from(main_pool);
     let mut ctx = SymCtx::new(scope);
     let mut paths = Vec::new();
@@ -409,13 +467,14 @@ pub(crate) fn explore_parallel(
 
     // Seed task: the start node under an empty prefix.
     let shared = session.pool.len() as u32;
-    let frontier = Frontier::new(Task {
+    let seed = Task {
         trace: Vec::new(),
         pool: None,
         constraints: Vec::new(),
         values: Vec::new(),
         arms: vec![(start, None)],
-    });
+    };
+    let frontier = Frontier::new(seed, config.min_paths_per_worker == 0);
     let budget = ExploreBudget::new(config, t0);
     let scope: Option<String> = ctx.scope().map(str::to_string);
 
@@ -439,6 +498,22 @@ pub(crate) fn explore_parallel(
             .map(|h| h.join().expect("parallel exploration worker panicked"))
             .collect()
     });
+    if !frontier.granted.load(Ordering::Relaxed) {
+        // The first worker walked the whole tree alone, in sequential DFS
+        // order, on a fork of the main pool that nothing else touched: its
+        // pool becomes the main pool, and its paths need no merge.
+        let out = outputs.swap_remove(0);
+        session.merge_worker(&out.session.exec, &out.session.solver_stats(), &out.session.sat_stats());
+        let mut stats = out.session.exec;
+        session.pool = out.session.pool;
+        for d in out.ctx.hash_defs() {
+            ctx.add_hash_def(d.clone());
+        }
+        ctx.register_pool_vars(&mut session.pool, &cfg.fields);
+        stats.timed_out |= budget.timed_out();
+        stats.elapsed = t0.elapsed();
+        return (out.paths, stats);
+    }
     let mut tagged: Vec<(usize, RawPath)> = outputs
         .iter_mut()
         .enumerate()
@@ -520,6 +595,7 @@ pub(crate) fn explore_parallel(
         stats.smt_checks += out.session.exec.smt_checks;
         stats.batched_probes += out.session.exec.batched_probes;
         stats.arms_independent += out.session.exec.arms_independent;
+        stats.arms_pinned += out.session.exec.arms_pinned;
         stats.arm_batches += out.session.exec.arm_batches;
         stats.timed_out |= out.session.exec.timed_out;
         session.merge_worker(&out.session.exec, &out.session.solver_stats(), &out.session.sat_stats());

@@ -129,6 +129,7 @@ impl SolveSession {
         self.exec.smt_checks += delta.smt_checks;
         self.exec.batched_probes += delta.batched_probes;
         self.exec.arms_independent += delta.arms_independent;
+        self.exec.arms_pinned += delta.arms_pinned;
         self.exec.arm_batches += delta.arm_batches;
         self.exec.elapsed += delta.elapsed;
         self.exec.timed_out |= delta.timed_out;
@@ -239,6 +240,7 @@ mod tests {
                 smt_checks: 9,
                 batched_probes: 4,
                 arms_independent: 1,
+                arms_pinned: 3,
                 arm_batches: 2,
                 elapsed: std::time::Duration::from_millis(5),
                 timed_out: false,
@@ -250,6 +252,7 @@ mod tests {
                 smt_checks: 7,
                 batched_probes: 2,
                 arms_independent: 0,
+                arms_pinned: 1,
                 arm_batches: 1,
                 elapsed: std::time::Duration::from_millis(4),
                 timed_out: false,
@@ -261,6 +264,7 @@ mod tests {
                 smt_checks: 5,
                 batched_probes: 0,
                 arms_independent: 0,
+                arms_pinned: 2,
                 arm_batches: 0,
                 elapsed: std::time::Duration::from_millis(1),
                 timed_out: false,
@@ -314,6 +318,7 @@ mod tests {
         assert_eq!(main.exec.smt_checks, 21);
         assert_eq!(main.exec.batched_probes, 6);
         assert_eq!(main.exec.arms_independent, 1);
+        assert_eq!(main.exec.arms_pinned, 6);
         assert_eq!(main.exec.arm_batches, 3);
         assert!(!main.exec.timed_out);
         // Solver tallies: sums; peak depth via max; live depth is the main
@@ -380,6 +385,7 @@ mod tests {
             smt_checks: 5,
             batched_probes: 3,
             arms_independent: 2,
+            arms_pinned: 1,
             arm_batches: 1,
             elapsed: std::time::Duration::from_millis(2),
             timed_out: false,
@@ -390,6 +396,7 @@ mod tests {
         assert_eq!(s.exec.smt_checks, 10);
         assert_eq!(s.exec.batched_probes, 6);
         assert_eq!(s.exec.arms_independent, 4);
+        assert_eq!(s.exec.arms_pinned, 2);
         assert_eq!(s.exec.arm_batches, 2);
         assert!(!s.exec.timed_out);
     }

@@ -485,8 +485,8 @@ fn plan_from_analysis(
     }
 }
 
-/// Re-encodes one pipeline's batched group-search results and replaces the
-/// pipeline body (lines 10–25), exactly as the sequential group loop does.
+/// Re-encodes one pipeline's batched group-search results, in group order,
+/// and replaces the pipeline body (lines 10–25).
 fn encode_pipeline(
     cfg: &mut Cfg,
     session: &mut SolveSession,
@@ -630,13 +630,14 @@ fn pipeline_levels(cfg: &Cfg, order: &[PipelineId]) -> Vec<Vec<usize>> {
     levels
 }
 
-/// The `config.threads > 1` pipeline loop: per topo-depth level, plan every
-/// pipeline sequentially (cheap; pool mutations stay deterministic), run
-/// all group searches of the level as one parallel batch, re-encode in topo
-/// order, then run every seed extension of the level as a second batch.
-/// Batch results merge in job order, so cache routing, completed-path
-/// order, and main-pool term interning are identical to the sequential
-/// loop's.
+/// The pipeline loop, one for every thread count: per topo-depth level,
+/// plan every pipeline in topo order on the calling thread (cheap; pool
+/// mutations stay deterministic), run all group searches of the level as
+/// one [`explore_batch`](crate::parallel::explore_batch) batch on
+/// `config.threads` workers, re-encode in topo order, then run every seed
+/// extension of the level as a second batch. Batch results merge in job
+/// order, so cache routing, completed-path order, and main-pool term
+/// interning do not depend on the thread count.
 ///
 /// Each level emits two child spans of `engine.summary`, so a trace shows
 /// where the summary's time goes: `engine.summary.group` covers Algorithm
@@ -742,8 +743,8 @@ fn summarize_pipelines_batched(
         // reaching a later pipeline entry are cached for it; paths reaching
         // a program terminal are complete end-to-end valid paths. A
         // same-level pipeline's entry can appear in `later` but is
-        // unreachable, so level batching routes exactly as the sequential
-        // loop does.
+        // unreachable, so level batching routes exactly as extending one
+        // pipeline at a time would.
         let laters: Vec<HashSet<meissa_ir::NodeId>> = entries
             .iter()
             .map(|&(idx, _, _)| entry_of[idx + 1..].iter().copied().collect())

@@ -302,7 +302,8 @@ fn indexed_verdicts_match_eval_const() {
 /// counts one folded check, and every false one a prune. Of the 2,054
 /// arms left to batches, 2,050 are `x == c` on a variable free on the
 /// path and are decided Sat without the solver; the SAT engine sees the
-/// other 4 at most.
+/// other 4 at most. No arm reads a pinned variable: the index settles
+/// every table keyed on a field a rule bound to a constant.
 #[test]
 fn gw1_wide_counters_are_pinned() {
     let program = gw(1, GwScale { eips: 1024 }).program;
@@ -333,5 +334,6 @@ fn gw1_wide_counters_are_pinned() {
             s.batched_probes, 2_054,
             "batched_probes at {threads} threads"
         );
+        assert_eq!(s.arms_pinned, 0, "arms_pinned at {threads} threads");
     }
 }

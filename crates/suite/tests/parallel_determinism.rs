@@ -41,7 +41,7 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
         .collect();
     let stats = format!(
         "valid={} before={} after={} explored={} pruned={} checks={} \
-         batched={} batches={} independent={}",
+         batched={} batches={} independent={} pinned={}",
         run.stats.valid_paths,
         run.stats.paths_before,
         run.stats.paths_after,
@@ -59,11 +59,13 @@ fn fingerprint(run: &meissa_core::engine::RunOutput) -> (Vec<String>, String) {
         // own assertion below.
         run.stats.smt_checks,
         // Every branch point's arms are decided as one batch by the walker
-        // that visits it, and whether an arm is independent of its path
-        // depends on the path alone.
+        // that visits it, and whether an arm is independent of its path, or
+        // decided by the constants its path pins variables to, depends on
+        // the path alone.
         run.stats.batched_probes,
         run.stats.arm_batches,
         run.stats.arms_independent,
+        run.stats.arms_pinned,
     );
     (templates, stats)
 }
@@ -210,7 +212,10 @@ fn summary_solver_counters_are_thread_count_invariant() {
     // also stay those of an engine that gives every job a fresh solver.
     // 1,042 arms are `x == c` guards on a variable free on the path and
     // are decided Sat without the solver, which took `sat_engine_calls`
-    // from 32,348 to 31,303.
+    // from 32,348 to 31,303. 30,312 more are decided by the constants the
+    // seed's `x == c` constraints pin variables to (nearly all of them
+    // refuted: the seed holds `x == k'` and the arm asks for `x == k`),
+    // which took it on to 1,927.
     let w = workload("gw3");
     for threads in [1usize, 2, 4] {
         let got = Meissa {
@@ -226,12 +231,16 @@ fn summary_solver_counters_are_thread_count_invariant() {
             "smt_checks at {threads} threads"
         );
         assert_eq!(
-            got.stats.solver.sat_engine_calls, 31_303,
+            got.stats.solver.sat_engine_calls, 1_927,
             "sat_engine_calls at {threads} threads"
         );
         assert_eq!(
             got.stats.arms_independent, 1_042,
             "arms_independent at {threads} threads"
+        );
+        assert_eq!(
+            got.stats.arms_pinned, 30_312,
+            "arms_pinned at {threads} threads"
         );
     }
 }

@@ -57,11 +57,13 @@ echo "MEISSA_PROP_SEED=$ARM_SEED"
 MEISSA_PROP_SEED="$ARM_SEED" cargo test -q --offline -p meissa-suite --test arm_index \
   indexed_verdicts_match_eval_const
 
-echo "==> differential: walker independence shortcut vs the path solver, fresh seed"
-# The walker decides an `x == c` arm Sat without the solver when no live
-# path constraint mentions `x`; `check_under` on a solver holding exactly
-# the path's constraints is the oracle it must match. This run draws fresh
-# random rule sets, path prefixes and walks (seed printed, so a failure
+echo "==> differential: walker solver-free arm verdicts vs the path solver, fresh seed"
+# The walker decides some arms without the solver: it refutes or accepts
+# an arm against the constants live `x == c` constraints pin variables to,
+# and accepts an `x == c` arm when no live path constraint mentions `x`;
+# `check_under` on a solver holding exactly the path's constraints is the
+# oracle both must match. This run draws fresh random rule sets, path
+# prefixes (pins included) and walks (seed printed, so a failure
 # reproduces with MEISSA_PROP_SEED=<seed>).
 INDEP_SEED="$(date +%s)"
 echo "MEISSA_PROP_SEED=$INDEP_SEED"
